@@ -15,17 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import (Parameter, Tensor, as_tensor, batch_norm, cat, gelu,
-                       layer_norm, linear, scaled_dot_attention, softmax_rows)
+# softmax_rows is no longer called here; the name stays bound because the
+# per-layer tracer (perfbench/layers.py) wraps hga.softmax_rows.
+from .numerics import (Parameter, Tensor, as_tensor, batch_norm, cat, gelu,  # noqa: F401
+                       layer_norm, linear, scaled_dot_attention, softmax_rows,
+                       uniform_init)
 
 
 def default_head_count(channels: int) -> int:
     return 8 if channels >= 64 else 2
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 class HgaParams:
@@ -48,13 +46,13 @@ class HgaParams:
         sub = channels // heads
         self.ln_gamma = Parameter(np.ones(channels), f"{prefix}.ln_gamma")
         self.ln_beta = Parameter(np.zeros(channels), f"{prefix}.ln_beta")
-        self.w_a = Parameter(_uniform(rng, (channels, channels), channels), f"{prefix}.w_a")
-        self.w_b = Parameter(_uniform(rng, (channels, channels), channels), f"{prefix}.w_b")
-        self.w_q = Parameter(_uniform(rng, (sub, sub), sub), f"{prefix}.w_q")
-        self.w_k = Parameter(_uniform(rng, (sub, sub), sub), f"{prefix}.w_k")
-        self.w_v = Parameter(_uniform(rng, (sub, sub), sub), f"{prefix}.w_v")
-        self.w_upd = Parameter(_uniform(rng, (3 * sub, sub), 3 * sub), f"{prefix}.w_upd")
-        self.w_merge = Parameter(_uniform(rng, (channels, channels), channels), f"{prefix}.w_merge")
+        self.w_a = Parameter(uniform_init(rng, (channels, channels), channels), f"{prefix}.w_a")
+        self.w_b = Parameter(uniform_init(rng, (channels, channels), channels), f"{prefix}.w_b")
+        self.w_q = Parameter(uniform_init(rng, (sub, sub), sub), f"{prefix}.w_q")
+        self.w_k = Parameter(uniform_init(rng, (sub, sub), sub), f"{prefix}.w_k")
+        self.w_v = Parameter(uniform_init(rng, (sub, sub), sub), f"{prefix}.w_v")
+        self.w_upd = Parameter(uniform_init(rng, (3 * sub, sub), 3 * sub), f"{prefix}.w_upd")
+        self.w_merge = Parameter(uniform_init(rng, (channels, channels), channels), f"{prefix}.w_merge")
         self.learnable_adj = Parameter(np.zeros((joints, joints)), f"{prefix}.learnable_adj")
         self.bn_gamma = Parameter(np.ones(channels), f"{prefix}.bn_gamma")
         self.bn_beta = Parameter(np.zeros(channels), f"{prefix}.bn_beta")
@@ -65,9 +63,6 @@ class HgaParams:
         return [self.ln_gamma, self.ln_beta, self.w_a, self.w_b, self.w_q, self.w_k,
                 self.w_v, self.w_upd, self.w_merge, self.learnable_adj,
                 self.bn_gamma, self.bn_beta]
-
-    def state_extra(self) -> dict:
-        return {"bn_mean": self.bn_mean, "bn_var": self.bn_var}
 
 
 def project_ab(x_in, params: HgaParams) -> tuple:
@@ -105,11 +100,7 @@ def hybrid_cross_attention(x_a_h, x_hyb_h, params: HgaParams,
 
 def npsc(x_a_h, x_b_h, attn_sink: list | None = None) -> Tensor:
     """Projection-free joint similarity: softmax(x_a x_b^T) x_b, unscaled."""
-    x_a_h, x_b_h = as_tensor(x_a_h), as_tensor(x_b_h)
-    weights = softmax_rows(x_a_h.matmul_t(x_b_h))
-    if attn_sink is not None:
-        attn_sink.append(weights.data)
-    return weights @ x_b_h
+    return scaled_dot_attention(x_a_h, x_b_h, x_b_h, attn_sink=attn_sink, scale=1.0)
 
 
 def fuse_update(x_a_h, x_hyb_att, x_joint_h, w_upd) -> Tensor:
@@ -128,15 +119,15 @@ def merge_heads(parts: list, w_merge) -> Tensor:
     return linear(cat(list(parts), axis=-1), w_merge)
 
 
-def _stack_heads(x: Tensor, heads: int) -> Tensor:
-    # (..., N, C) -> (..., h, N, C/h); channel grouping matches split_heads
+def stack_heads(x: Tensor, heads: int) -> Tensor:
+    """(..., N, C) -> (..., h, N, C/h); channel grouping matches split_heads."""
     shape = x.data.shape
     sub = shape[-1] // heads
     return x.reshape(shape[:-1] + (heads, sub)).swapaxes(-3, -2)
 
 
-def _unstack_heads(x: Tensor) -> Tensor:
-    # (..., h, N, C/h) -> (..., N, C)
+def unstack_heads(x: Tensor) -> Tensor:
+    """(..., h, N, C/h) -> (..., N, C), the inverse of stack_heads."""
     x = x.swapaxes(-3, -2)
     shape = x.data.shape
     return x.reshape(shape[:-2] + (shape[-2] * shape[-1],))
@@ -157,13 +148,13 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
     x_in = layer_norm(x, params.ln_gamma, params.ln_beta)
     x_a, x_b = project_ab(x_in, params)
     adj_total = params.learnable_adj + Tensor(skeletal_adj)
-    a = _stack_heads(x_a, params.heads)
-    b = _stack_heads(x_b, params.heads)
+    a = stack_heads(x_a, params.heads)
+    b = stack_heads(x_b, params.heads)
     hyb = aggregate_hybrid(b, adj_total)
     hyb_att = hybrid_cross_attention(a, hyb, params, attn_sink=attn_sink)
     joint = npsc(a, b, attn_sink=attn_sink)
     fused = fuse_update(a, hyb_att, joint, params.w_upd)
-    merged = linear(_unstack_heads(fused), params.w_merge)
+    merged = linear(unstack_heads(fused), params.w_merge)
     out = batch_norm(merged, params.bn_gamma, params.bn_beta,
                      params.bn_mean, params.bn_var, training=training)
     return gelu(out) + x_in

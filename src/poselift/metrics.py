@@ -30,6 +30,40 @@ def mpjpe(y_hat, y) -> float:
     return float(np.linalg.norm(y_hat - y, axis=-1).mean())
 
 
+def _align_frames(source: np.ndarray, target: np.ndarray, allow_scale: bool):
+    """Umeyama (1991) alignment of each (N, 3) frame of `source` onto the
+    matching frame of `target`, batched over the leading axis: one
+    ``np.linalg.svd`` over the stacked (T, 3, 3) cross-covariances.
+
+    Returns (aligned, degenerate) with `degenerate` a (T,) mask of frames
+    whose point set collapsed; those get only the translation.
+    """
+    mu_s = source.mean(axis=-2, keepdims=True)
+    mu_t = target.mean(axis=-2, keepdims=True)
+    s0 = source - mu_s
+    t0 = target - mu_t
+    norm_s = np.sqrt((s0 ** 2).sum(axis=(-2, -1)))
+    norm_t = np.sqrt((t0 ** 2).sum(axis=(-2, -1)))
+    degenerate = (norm_s < 1e-12) | (norm_t < 1e-12)
+    norm_s = np.where(degenerate, 1.0, norm_s)
+    norm_t = np.where(degenerate, 1.0, norm_t)
+    s0n = s0 / norm_s[:, None, None]
+    t0n = t0 / norm_t[:, None, None]
+    h = np.swapaxes(t0n, -1, -2) @ s0n
+    u, sing, vt = np.linalg.svd(h)
+    v = np.swapaxes(vt, -1, -2)
+    ut = np.swapaxes(u, -1, -2)
+    # Correct reflections to proper rotations.
+    sign = np.sign(np.linalg.det(v @ ut))
+    v[..., -1] *= sign[:, None]
+    sing[..., -1] *= sign
+    rot = v @ ut
+    scale = sing.sum(axis=-1) * norm_t / norm_s if allow_scale else np.ones(len(source))
+    aligned = scale[:, None, None] * s0 @ rot + mu_t
+    aligned[degenerate] = (s0 + mu_t)[degenerate]
+    return aligned, degenerate
+
+
 def similarity_align(source: np.ndarray, target: np.ndarray, allow_scale: bool = True):
     """Best rotation (+ optional uniform scale) + translation of one point set
     onto another in the least-squares sense.
@@ -38,30 +72,8 @@ def similarity_align(source: np.ndarray, target: np.ndarray, allow_scale: bool =
     collapsed point set for which only the translation was applied.
     Reflections are corrected to proper rotations.
     """
-    mu_s = source.mean(axis=0, keepdims=True)
-    mu_t = target.mean(axis=0, keepdims=True)
-    s0 = source - mu_s
-    t0 = target - mu_t
-    norm_s = np.sqrt((s0 ** 2).sum())
-    norm_t = np.sqrt((t0 ** 2).sum())
-    if norm_s < 1e-12 or norm_t < 1e-12:
-        return source - mu_s + mu_t, True
-    s0n = s0 / norm_s
-    t0n = t0 / norm_t
-    h = t0n.T @ s0n
-    u, sing, vt = np.linalg.svd(h)
-    v = vt.T
-    sign = np.sign(np.linalg.det(v @ u.T))
-    v[:, -1] *= sign
-    sing = sing.copy()
-    sing[-1] *= sign
-    rot = v @ u.T
-    if allow_scale:
-        scale = sing.sum() * norm_t / norm_s
-    else:
-        scale = 1.0
-    aligned = scale * (source - mu_s) @ rot + mu_t
-    return aligned, False
+    aligned, degenerate = _align_frames(source[None], target[None], allow_scale)
+    return aligned[0], bool(degenerate[0])
 
 
 def p_mpjpe(y_hat, y, allow_scale: bool = True, return_degenerate: bool = False):
@@ -72,15 +84,10 @@ def p_mpjpe(y_hat, y, allow_scale: bool = True, return_degenerate: bool = False)
     scale unless `allow_scale` is False) before measuring.
     """
     y_hat, y = _check(y_hat, y)
-    errors = np.empty(y_hat.shape[0])
-    degenerate = 0
-    for t in range(y_hat.shape[0]):
-        aligned, bad = similarity_align(y_hat[t], y[t], allow_scale=allow_scale)
-        degenerate += bad
-        errors[t] = np.linalg.norm(aligned - y[t], axis=-1).mean()
-    value = float(errors.mean())
+    aligned, degenerate = _align_frames(y_hat, y, allow_scale)
+    value = float(np.linalg.norm(aligned - y, axis=-1).mean(axis=-1).mean())
     if return_degenerate:
-        return value, degenerate
+        return value, int(degenerate.sum())
     return value
 
 

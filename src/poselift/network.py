@@ -19,9 +19,9 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, ShapeError
-from .hga import HgaParams, default_head_count, hga_forward
+from .hga import HgaParams, default_head_count, hga_forward, stack_heads, unstack_heads
 from .numerics import (Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
-                       linear, no_grad, scaled_dot_attention)
+                       linear, no_grad, scaled_dot_attention, uniform_init)
 from .skeleton import SkeletonGraph, build_hybrid_adjacency
 
 
@@ -94,11 +94,6 @@ class ModelConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class EncoderParams:
     """Pre-LN Transformer encoder: self-attention then a 2-layer GELU MLP."""
 
@@ -111,20 +106,20 @@ class EncoderParams:
         hidden = channels * ff_expansion
         self.ln1_gamma = Parameter(np.ones(channels), f"{prefix}.ln1_gamma")
         self.ln1_beta = Parameter(np.zeros(channels), f"{prefix}.ln1_beta")
-        self.w_q = Parameter(_uniform(rng, (channels, channels), channels), f"{prefix}.w_q")
-        self.b_q = Parameter(_uniform(rng, channels, channels), f"{prefix}.b_q")
-        self.w_k = Parameter(_uniform(rng, (channels, channels), channels), f"{prefix}.w_k")
-        self.b_k = Parameter(_uniform(rng, channels, channels), f"{prefix}.b_k")
-        self.w_v = Parameter(_uniform(rng, (channels, channels), channels), f"{prefix}.w_v")
-        self.b_v = Parameter(_uniform(rng, channels, channels), f"{prefix}.b_v")
-        self.w_o = Parameter(_uniform(rng, (channels, channels), channels), f"{prefix}.w_o")
-        self.b_o = Parameter(_uniform(rng, channels, channels), f"{prefix}.b_o")
+        self.w_q = Parameter(uniform_init(rng, (channels, channels), channels), f"{prefix}.w_q")
+        self.b_q = Parameter(uniform_init(rng, channels, channels), f"{prefix}.b_q")
+        self.w_k = Parameter(uniform_init(rng, (channels, channels), channels), f"{prefix}.w_k")
+        self.b_k = Parameter(uniform_init(rng, channels, channels), f"{prefix}.b_k")
+        self.w_v = Parameter(uniform_init(rng, (channels, channels), channels), f"{prefix}.w_v")
+        self.b_v = Parameter(uniform_init(rng, channels, channels), f"{prefix}.b_v")
+        self.w_o = Parameter(uniform_init(rng, (channels, channels), channels), f"{prefix}.w_o")
+        self.b_o = Parameter(uniform_init(rng, channels, channels), f"{prefix}.b_o")
         self.ln2_gamma = Parameter(np.ones(channels), f"{prefix}.ln2_gamma")
         self.ln2_beta = Parameter(np.zeros(channels), f"{prefix}.ln2_beta")
-        self.w_ff1 = Parameter(_uniform(rng, (channels, hidden), channels), f"{prefix}.w_ff1")
-        self.b_ff1 = Parameter(_uniform(rng, hidden, channels), f"{prefix}.b_ff1")
-        self.w_ff2 = Parameter(_uniform(rng, (hidden, channels), hidden), f"{prefix}.w_ff2")
-        self.b_ff2 = Parameter(_uniform(rng, channels, hidden), f"{prefix}.b_ff2")
+        self.w_ff1 = Parameter(uniform_init(rng, (channels, hidden), channels), f"{prefix}.w_ff1")
+        self.b_ff1 = Parameter(uniform_init(rng, hidden, channels), f"{prefix}.b_ff1")
+        self.w_ff2 = Parameter(uniform_init(rng, (hidden, channels), hidden), f"{prefix}.w_ff2")
+        self.b_ff2 = Parameter(uniform_init(rng, channels, hidden), f"{prefix}.b_ff2")
 
     def parameters(self) -> list:
         return [self.ln1_gamma, self.ln1_beta, self.w_q, self.b_q, self.w_k, self.b_k,
@@ -132,29 +127,15 @@ class EncoderParams:
                 self.w_ff1, self.b_ff1, self.w_ff2, self.b_ff2]
 
 
-def _split_heads_attn(x: Tensor, heads: int) -> Tensor:
-    # (..., n, C) -> (..., h, n, C/h)
-    shape = x.data.shape
-    sub = shape[-1] // heads
-    return x.reshape(shape[:-1] + (heads, sub)).swapaxes(-3, -2)
-
-
-def _merge_heads_attn(x: Tensor) -> Tensor:
-    # (..., h, n, C/h) -> (..., n, C)
-    x = x.swapaxes(-3, -2)
-    shape = x.data.shape
-    return x.reshape(shape[:-2] + (shape[-2] * shape[-1],))
-
-
 def encoder_forward(x, params: EncoderParams, training: bool = False,
                     rng: np.random.Generator | None = None, drop_rate: float = 0.0) -> Tensor:
     """Self-attention over the second-to-last axis, with residuals."""
     x = as_tensor(x)
     h = layer_norm(x, params.ln1_gamma, params.ln1_beta)
-    q = _split_heads_attn(linear(h, params.w_q, params.b_q), params.heads)
-    k = _split_heads_attn(linear(h, params.w_k, params.b_k), params.heads)
-    v = _split_heads_attn(linear(h, params.w_v, params.b_v), params.heads)
-    attended = _merge_heads_attn(scaled_dot_attention(q, k, v))
+    q = stack_heads(linear(h, params.w_q, params.b_q), params.heads)
+    k = stack_heads(linear(h, params.w_k, params.b_k), params.heads)
+    v = stack_heads(linear(h, params.w_v, params.b_v), params.heads)
+    attended = unstack_heads(scaled_dot_attention(q, k, v))
     x = x + dropout(linear(attended, params.w_o, params.b_o), drop_rate, rng, training)
     h2 = layer_norm(x, params.ln2_gamma, params.ln2_beta)
     ff = linear(gelu(linear(h2, params.w_ff1, params.b_ff1)), params.w_ff2, params.b_ff2)
@@ -223,8 +204,8 @@ class PoseLifter:
         self.hybrid = build_hybrid_adjacency(skeleton, config.hop_count, config.hop_weights)
         rng = np.random.default_rng(seed)
         c = config.embed_dim
-        self.w_emb = Parameter(_uniform(rng, (config.channels_in, c), config.channels_in), "embed.w")
-        self.b_emb = Parameter(_uniform(rng, c, config.channels_in), "embed.b")
+        self.w_emb = Parameter(uniform_init(rng, (config.channels_in, c), config.channels_in), "embed.w")
+        self.b_emb = Parameter(uniform_init(rng, c, config.channels_in), "embed.b")
         self.pe_spatial = Parameter(rng.normal(0.0, 0.02, size=(config.joints, c)), "embed.pe_spatial")
         self.pe_temporal = Parameter(rng.normal(0.0, 0.02, size=(config.frames, c)), "embed.pe_temporal")
         self.blocks = [
@@ -232,8 +213,8 @@ class PoseLifter:
              TemporalBlock(config, rng, f"block{l}.temporal"))
             for l in range(config.depth)
         ]
-        self.w_head = Parameter(_uniform(rng, (c, 3), c), "head.w")
-        self.b_head = Parameter(_uniform(rng, 3, c), "head.b")
+        self.w_head = Parameter(uniform_init(rng, (c, 3), c), "head.w")
+        self.b_head = Parameter(uniform_init(rng, 3, c), "head.b")
 
     # -- parameter access ---------------------------------------------------
 

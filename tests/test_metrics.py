@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
+from poselift import metrics
 from poselift.errors import ConfigError, ShapeError
 from poselift.metrics import (EvalReport, evaluate_sequences, mpjpe, mpjve,
                               p_mpjpe, pck_auc, root_relative, similarity_align)
@@ -90,6 +91,29 @@ class TestPmpjpe:
         aligned, _ = similarity_align(source, target)
         closed_form = ((aligned - target) ** 2).sum()
         assert closed_form <= best.fun + 1e-6
+
+    def test_batched_alignment_matches_per_frame_kabsch(self):
+        # Per-frame Umeyama with its own SVD per frame, reflections included.
+        y = random_poses(11, frames=12)
+        y_hat = y + np.random.default_rng(12).normal(scale=40.0, size=y.shape)
+        y_hat[::3] *= np.array([1.0, 1.0, -1.0])
+        for allow_scale in (True, False):
+            frames = []
+            for src, dst in zip(y_hat, y):
+                s0, t0 = src - src.mean(axis=0), dst - dst.mean(axis=0)
+                ns, nt = np.linalg.norm(s0), np.linalg.norm(t0)
+                u, sing, vt = np.linalg.svd((t0 / nt).T @ (s0 / ns))
+                d = np.sign(np.linalg.det(vt.T @ u.T))
+                fix = np.diag([1.0, 1.0, d])
+                rot = vt.T @ fix @ u.T
+                scale = (sing * np.diag(fix)).sum() * nt / ns if allow_scale else 1.0
+                aligned = scale * s0 @ rot + dst.mean(axis=0)
+                frames.append(np.linalg.norm(aligned - dst, axis=-1).mean())
+            aligned, degenerate = metrics._align_frames(y_hat, y, allow_scale)
+            per_frame = np.linalg.norm(aligned - y, axis=-1).mean(axis=-1)
+            assert not degenerate.any()
+            assert np.abs(per_frame - frames).max() < 1e-9
+            assert abs(p_mpjpe(y_hat, y, allow_scale=allow_scale) - np.mean(frames)) < 1e-9
 
     def test_degenerate_frame_flagged(self):
         y = random_poses(10, frames=3)

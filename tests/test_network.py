@@ -22,6 +22,17 @@ def tiny_config(channels_in=2, depth=1):
                        depth=depth, ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.0)
 
 
+def tape_nodes(root):
+    """Nodes reachable from `root` through the recorded parents."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
 def desk_config(channels_in=5, depth=2, frames=27):
     return ModelConfig(frames=frames, joints=17, channels_in=channels_in,
                        embed_dim=64, depth=depth, dropout=0.0)
@@ -176,6 +187,18 @@ class TestPoseLifter:
         err = grad_check(lambda *ps: model.forward(Tensor(x), training=True),
                          model.parameters())
         assert err < 1e-4
+
+    def test_training_tape_node_count(self):
+        # Regression guard for the fused attention, normalisation and
+        # dropout nodes: 237 nodes, 94 of them Parameters.  A change here
+        # means the layers record a different tape.
+        cfg = ModelConfig(frames=3, joints=3, channels_in=2, embed_dim=4, depth=1,
+                          ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.25)
+        model = PoseLifter(cfg, chain_skeleton(), seed=0)
+        x = np.random.default_rng(0).normal(size=(2, 3, 3, 2))
+        out = model.forward(x, training=True, rng=np.random.default_rng(1))
+        assert len(model.parameters()) == 94
+        assert tape_nodes(out) == 237
 
     def test_activations_finite_across_seeds(self):
         model = PoseLifter(tiny_config(), chain_skeleton(), seed=9)

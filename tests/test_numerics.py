@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from poselift import numerics
 from poselift.errors import DataError, FormatError, ShapeError, TruncatedFileError
 from poselift.numerics import (Parameter, Tensor, batch_norm, cat, dropout, gelu,
                                grad_check, l2norm_last, layer_norm, linear,
@@ -32,6 +33,28 @@ class TestLinear:
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         err = grad_check(lambda w_: linear(x, w_), [w])
         assert err < 1e-4
+
+
+class TestLinearGemmPaths:
+    """Both GEMM paths (batched below the weight-size cut-off, flattened at
+    or above it) must agree with a direct contraction and pass grad_check."""
+
+    @pytest.fixture(params=["batched", "flat"])
+    def path(self, request, monkeypatch):
+        cutoff = 1 if request.param == "flat" else 10**9
+        monkeypatch.setattr(numerics, "_FLAT_GEMM_MIN_WEIGHT", cutoff)
+        return request.param
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 4), (2, 1, 3, 2, 4)])
+    def test_value_and_gradients(self, path, shape):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        out = linear(x, w, b).data
+        assert np.allclose(out, np.einsum("...i,ij->...j", x.data, w.data) + b.data, atol=1e-12)
+        seed = Tensor(rng.normal(size=shape[:-1] + (3,)))
+        assert grad_check(lambda s, t, u: (linear(s, t, u) * seed).sum(), [x, w, b]) < 1e-4
 
 
 class TestSoftmax:
@@ -89,6 +112,42 @@ class TestScaledDotAttention:
         with pytest.raises(ShapeError):
             scaled_dot_attention(z, z, z)
 
+    def test_matches_composed_softmax(self):
+        rng = np.random.default_rng(41)
+        q, k, v = (rng.normal(size=(2, 3, 5, 4)) for _ in range(3))
+        sink = []
+        out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), attn_sink=sink).data
+        ref = softmax_rows(Tensor(q / 2.0 @ np.swapaxes(k, -1, -2))).data
+        assert np.allclose(sink[0], ref, atol=1e-14)
+        assert np.allclose(out, ref @ v, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_gradient(self, scale):
+        rng = np.random.default_rng(42)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3))
+        seed = Tensor(rng.normal(size=(2, 3, 4)))
+        err = grad_check(lambda a, b, c: (scaled_dot_attention(a, b, c, scale=scale) * seed).sum(),
+                         [q, k, v])
+        assert err < 1e-4
+
+    def test_gradient_with_keys_broadcast_over_leading_axes(self):
+        rng = np.random.default_rng(43)
+        q = Tensor(rng.normal(size=(2, 3, 4, 3)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 5, 3)), requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+        seed = Tensor(rng.normal(size=(2, 3, 4, 2)))
+        err = grad_check(lambda a, b, c: (scaled_dot_attention(a, b, c) * seed).sum(), [q, k, v])
+        assert err < 1e-4
+
+    def test_shared_key_and_value_gradient(self):
+        # hga.npsc passes one tensor as both keys and values, unscaled.
+        rng = np.random.default_rng(44)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        seed = Tensor(rng.normal(size=(3, 4)))
+        err = grad_check(lambda s, t: (scaled_dot_attention(s, t, t, scale=1.0) * seed).sum(), [a, b])
+        assert err < 1e-4
+
 
 class TestNormalizationAndGelu:
     def test_layer_norm_constant_row(self):
@@ -101,6 +160,31 @@ class TestNormalizationAndGelu:
         out = layer_norm(x).data
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-5)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-3)
+
+    def test_layer_norm_affine_gradients(self):
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=5), requires_grad=True)
+        beta = Tensor(rng.normal(size=5), requires_grad=True)
+        seed = Tensor(rng.normal(size=(2, 3, 5)))
+        err = grad_check(lambda t, g, b: (layer_norm(t, g, b) * seed).sum(), [x, gamma, beta])
+        assert err < 1e-4
+        plain = layer_norm(Tensor(x.data)).data
+        assert np.allclose(layer_norm(x, gamma, beta).data, plain * gamma.data + beta.data,
+                           atol=1e-14)
+
+    def test_batch_norm_eval_is_affine_in_running_stats(self):
+        rng = np.random.default_rng(46)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=3), requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+        mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        out = batch_norm(x, gamma, beta, mean, var, training=False).data
+        ref = (x.data - mean) / np.sqrt(var + 1e-5) * gamma.data + beta.data
+        assert np.allclose(out, ref, atol=1e-12)
+        err = grad_check(lambda t, g, b: (batch_norm(t, g, b, mean, var, training=False) ** 2.0).sum(),
+                         [x, gamma, beta])
+        assert err < 1e-4
 
     def test_batch_norm_train_and_eval(self):
         rng = np.random.default_rng(4)
@@ -150,15 +234,6 @@ class TestGradCheck:
         x = Tensor(rng.normal(size=(5,)) + 2.0, requires_grad=True)
         assert grad_check(lambda t: gelu(t).sum(), [x]) < 1e-4
 
-    def test_matmul_t_agrees_with_composed_form(self):
-        rng = np.random.default_rng(7)
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-        out = a.matmul_t(b)
-        ref = a.data @ np.swapaxes(b.data, -1, -2)
-        assert np.allclose(out.data, ref, atol=1e-12)
-        assert grad_check(lambda s, t: (s.matmul_t(t) ** 2.0).sum(), [a, b]) < 1e-4
-
     def test_l2norm_gradient_and_zero_subgradient(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(4, 3)) + 1.0, requires_grad=True)
@@ -205,6 +280,21 @@ class TestTensorBasics:
         rng = np.random.default_rng(13)
         out = dropout(x, 0.5, rng, training=True).data
         assert set(np.round(np.unique(out), 6)) == {0.0, 2.0}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_matches_seeded_float_mask(self, dtype):
+        rate, shape = 0.25, (6, 7, 5)
+        values = np.random.default_rng(47).normal(size=shape)
+        with precision(dtype):
+            x = Tensor(values, requires_grad=True)
+            out = dropout(x, rate, np.random.default_rng(48), training=True)
+            mask = (np.random.default_rng(48).random(shape) >= rate) / (1 - rate)
+            expected = x.data * mask.astype(dtype)
+            assert out.data.dtype == dtype
+            assert np.array_equal(out.data, expected)
+            seed = np.random.default_rng(49).normal(size=shape).astype(dtype)
+            out.backward(seed)
+            assert np.array_equal(x.grad, seed * mask.astype(dtype))
 
 
 class TestCheckpointFormat:
