@@ -398,8 +398,8 @@ def l2norm_last(x) -> Tensor:
 
 # -- layers ---------------------------------------------------------------
 
-# Weights with at least this many entries take the flattened GEMM path in
-# `linear` (see its docstring for the measurement behind it).
+# Weights with at least this many entries take the flattened forward GEMM
+# in `linear` (see its docstring for the measurement behind it).
 _FLAT_GEMM_MIN_WEIGHT = 1 << 16
 
 
@@ -412,18 +412,16 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 def linear(x, w, b=None) -> Tensor:
     """y[..., j] = sum_i x[..., i] w[i, j] (+ b[j]), as one fused node.
 
-    For weights of at least _FLAT_GEMM_MIN_WEIGHT entries, the forward
-    product and both gradients are 2-D GEMMs over the flattened rows
-    (the weight gradient is ``rows.T @ g``).  Smaller weights keep numpy's
-    batched ``(..., M, K) @ (K, N)``, one GEMM per leading index, with the
-    weight gradient summed over the leading axes.  The choice follows the
-    weight size because that is where each form wins: in float32 with one
-    BLAS thread, (8,17,27,64) @ (64,64) takes 334 us batched and 410 us
-    flat, while (1,243,17,384) @ (384,384) takes 21.5 ms batched and
-    11.7 ms flat.  At the C=64 shapes the flat weight gradient is up to
-    1.6x faster per call but made no measurable difference to a train
-    step, and it sums in another order, which would change the rounding
-    of every seeded float32 training run at that width.
+    For weights of at least _FLAT_GEMM_MIN_WEIGHT entries the forward
+    product is one 2-D GEMM over the flattened rows; smaller weights keep
+    numpy's batched ``(..., M, K) @ (K, N)``, one GEMM per leading index.
+    The choice follows the weight size because that is where each form
+    wins: in float32 with one BLAS thread, (8,17,27,64) @ (64,64) takes
+    334 us batched and 410 us flat, while (1,243,17,384) @ (384,384)
+    takes 21.5 ms batched and 11.7 ms flat.  The backward is the same for
+    both forms, since the output gradient has the same shape either way:
+    the weight gradient is the batched ``x^T @ g`` summed over the leading
+    axes, whose summation order the seeded float32 runs depend on.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.shape[-1] != w.data.shape[0]:
@@ -433,8 +431,7 @@ def linear(x, w, b=None) -> Tensor:
         return out.reshape(out.data.shape[-1])
     b = as_tensor(b) if b is not None else None
     k, n = w.data.shape
-    flat = w.data.size >= _FLAT_GEMM_MIN_WEIGHT
-    if flat:
+    if w.data.size >= _FLAT_GEMM_MIN_WEIGHT:
         out_data = (x.data.reshape(-1, k) @ w.data).reshape(x.data.shape[:-1] + (n,))
     else:
         out_data = x.data @ w.data
@@ -443,17 +440,10 @@ def linear(x, w, b=None) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        if flat:
-            g_rows = g.reshape(-1, n)
-            if x.requires_grad:
-                x._accum_owned((g_rows @ w.data.T).reshape(x.data.shape))
-            if w.requires_grad:
-                w._accum_owned(x.data.reshape(-1, k).T @ g_rows)
-        else:
-            if x.requires_grad:
-                x._accum_owned(g @ w.data.T)
-            if w.requires_grad:
-                w._accum_owned(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+        if x.requires_grad:
+            x._accum_owned(g @ w.data.T)
+        if w.requires_grad:
+            w._accum_owned(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
         if b is not None and b.requires_grad:
             gb = _unbroadcast(g, b.data.shape)
             (b._accum if gb is g else b._accum_owned)(gb)
@@ -461,18 +451,28 @@ def linear(x, w, b=None) -> Tensor:
     return Tensor._node(out_data, parents, bw)
 
 
+def _softmax_inplace(s: np.ndarray) -> np.ndarray:
+    """Row-stabilized softmax over the trailing axis, written into `s`."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _softmax_grad_inplace(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dS = P * (dP - rowsum(dP * P)) for softmax weights P, written into `dp`."""
+    dp -= (dp * p).sum(axis=-1, keepdims=True)
+    dp *= p
+    return dp
+
+
 def softmax_rows(x) -> Tensor:
     """Row-stabilized softmax over the trailing axis (max subtraction)."""
     x = as_tensor(x)
-    out_data = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=-1, keepdims=True)
+    out_data = _softmax_inplace(x.data.copy())
 
     def bw(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        gx = g - inner
-        gx *= out_data
-        x._accum_owned(gx)
+        x._accum_owned(_softmax_grad_inplace(g.copy(), out_data))
 
     return Tensor._node(out_data, (x,), bw)
 
@@ -503,10 +503,7 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
         # Scaling the (smaller) queries is equivalent to scaling the scores.
         return q.data if scale == 1.0 else q.data * scale
 
-    weights = scaled_q() @ np.swapaxes(k.data, -1, -2)
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = _softmax_inplace(scaled_q() @ np.swapaxes(k.data, -1, -2))
     if attn_sink is not None:
         attn_sink.append(weights)
     out_data = weights @ v.data
@@ -516,9 +513,7 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
             v._accum_owned(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape))
         if not (q.requires_grad or k.requires_grad):
             return
-        ds = g @ np.swapaxes(v.data, -1, -2)
-        ds -= (ds * weights).sum(axis=-1, keepdims=True)
-        ds *= weights
+        ds = _softmax_grad_inplace(g @ np.swapaxes(v.data, -1, -2), weights)
         if q.requires_grad:
             gq = ds @ k.data
             if scale != 1.0:

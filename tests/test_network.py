@@ -23,7 +23,12 @@ def tiny_config(channels_in=2, depth=1):
 
 
 def tape_nodes(root):
-    """Nodes reachable from `root` through the recorded parents."""
+    """Nodes reachable from `root` through the recorded parents.
+
+    The same walk as perfbench's ``workloads.tape_counts``, kept here
+    because the benchmark's directory is not an importable package and the
+    unit tests put only ``src`` on the path.
+    """
     seen, stack = set(), [root]
     while stack:
         node = stack.pop()
