@@ -28,7 +28,7 @@ from .hga import (HgaParams, aggregate_hybrid, fuse_update, hga_forward,
                   hybrid_cross_attention, merge_heads, npsc, project_ab,
                   split_heads)
 from .network import (EncoderParams, ModelConfig, PoseLifter, embed_input,
-                      encoder_forward, preliminary_forward, regression_head,
+                      encoder_forward, regression_head,
                       spatial_block_forward, temporal_block_forward,
                       two_stage_forward)
 from .training import (AdamW, TrainConfig, TrainResult, adamw_step,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,37 +49,28 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    if args.config:
-        cfg = TrainConfig.from_json_file(args.config)
-    else:
-        cfg = TrainConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.stage is not None:
-        overrides = {"stage": args.stage}
-        doc = json.loads(cfg.to_json())
-        doc.update(overrides)
-        cfg = TrainConfig.from_dict(doc)
+    """The config file (or the defaults) with every command-line override
+    applied, validated once.  Model overrides other than --depth also
+    reach the preliminary model, when the config has one."""
+    cfg = TrainConfig.from_json_file(args.config) if args.config else TrainConfig()
+    doc = asdict(cfg)
+    for name, value in (("seed", args.seed), ("stage", args.stage), ("data_dir", args.data),
+                        ("out_dir", args.out), ("epochs", args.epochs)):
+        if value is not None:
+            doc[name] = value
     for name, value in (("frames", args.frames), ("embed_dim", args.dim),
                         ("depth", args.depth), ("hop_count", args.hops),
                         ("lambda_f", args.lambda_f)):
-        if value is not None:
-            doc = json.loads(cfg.to_json())
-            doc["model"][name] = value
+        if value is None:
+            continue
+        models = [doc["model"]]
+        if doc["preliminary_model"] is not None and name != "depth":
+            models.append(doc["preliminary_model"])
+        for model in models:
+            model[name] = value
             if name == "hop_count":
-                doc["model"]["hop_weights"] = None
-            if doc.get("preliminary_model") and name in ("frames", "embed_dim", "hop_count", "lambda_f"):
-                doc["preliminary_model"][name] = value
-                if name == "hop_count":
-                    doc["preliminary_model"]["hop_weights"] = None
-            cfg = TrainConfig.from_dict(doc)
-    if args.data:
-        cfg.data_dir = args.data
-    if args.out:
-        cfg.out_dir = args.out
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    return cfg
+                model["hop_weights"] = None
+    return TrainConfig.from_dict(doc)
 
 
 def cmd_train(args) -> int:

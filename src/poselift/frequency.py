@@ -115,8 +115,8 @@ def apply_truncation(coeff_error_terms, cfg: FreqLossConfig):
 def _check_pose_shapes(y_hat, y):
     if y_hat.shape != y.shape:
         raise ShapeError(f"prediction {y_hat.shape} vs reference {y.shape}")
-    if y_hat.shape[-1] != 3:
-        raise ShapeError(f"expected trailing axis 3, got {y_hat.shape}")
+    if y_hat.ndim < 3 or y_hat.shape[-1] != 3:
+        raise ShapeError(f"expected (..., T, N, 3), got {y_hat.shape}")
 
 
 def _joint_weights(joints: int, w) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 # softmax_rows is no longer called here; the name stays bound because the
 # per-layer tracer (perfbench/layers.py) wraps hga.softmax_rows.
-from .numerics import (Parameter, Tensor, as_tensor, batch_norm, cat, gelu,  # noqa: F401
+from .numerics import (Module, Parameter, Tensor, as_tensor, batch_norm, cat, gelu,  # noqa: F401
                        layer_norm, linear, scaled_dot_attention, softmax_rows,
                        uniform_init)
 
@@ -26,13 +26,14 @@ def default_head_count(channels: int) -> int:
     return 8 if channels >= 64 else 2
 
 
-class HgaParams:
+class HgaParams(Module):
     """Parameters of one hybrid graph attention module.
 
     The query/key/value projections and the fuse matrix act within a
     subspace and are shared across subspaces; the learnable adjacency is
     per module and starts at zero so training begins from the pure
-    skeletal prior.
+    skeletal prior.  The batch-norm running statistics are buffers named
+    ``{prefix}.bn_mean`` and ``{prefix}.bn_var``.
     """
 
     def __init__(self, joints: int, channels: int, heads: int | None,
@@ -43,6 +44,7 @@ class HgaParams:
         self.joints = joints
         self.channels = channels
         self.heads = heads
+        self.prefix = prefix
         sub = channels // heads
         self.ln_gamma = Parameter(np.ones(channels), f"{prefix}.ln_gamma")
         self.ln_beta = Parameter(np.zeros(channels), f"{prefix}.ln_beta")
@@ -58,11 +60,6 @@ class HgaParams:
         self.bn_beta = Parameter(np.zeros(channels), f"{prefix}.bn_beta")
         self.bn_mean = np.zeros(channels)
         self.bn_var = np.ones(channels)
-
-    def parameters(self) -> list:
-        return [self.ln_gamma, self.ln_beta, self.w_a, self.w_b, self.w_q, self.w_k,
-                self.w_v, self.w_upd, self.w_merge, self.learnable_adj,
-                self.bn_gamma, self.bn_beta]
 
 
 def project_ab(x_in, params: HgaParams) -> tuple:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .frequency import FreqLossConfig, freq_loss, freq_loss_spatial_axis
+from .frequency import (FreqLossConfig, _check_pose_shapes, _joint_weights, freq_loss,
+                        freq_loss_spatial_axis)
 from .numerics import Tensor, as_tensor, l2norm_last
 
 
@@ -56,20 +57,8 @@ def grouped_joint_weights(groups, values=(1.0, 1.5, 2.5, 4.0)) -> np.ndarray:
 
 def _prep(y_hat, y):
     y_hat, y = as_tensor(y_hat), as_tensor(y)
-    if y_hat.data.shape != y.data.shape:
-        raise ShapeError(f"prediction {y_hat.data.shape} vs reference {y.data.shape}")
-    if y_hat.data.shape[-1] != 3 or y_hat.data.ndim < 3:
-        raise ShapeError(f"expected (..., T, N, 3), got {y_hat.data.shape}")
+    _check_pose_shapes(y_hat.data, y.data)
     return y_hat, y
-
-
-def _weights(joints: int, w) -> np.ndarray:
-    if w is None:
-        return np.ones(joints, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (joints,):
-        raise ShapeError(f"joint weights {w.shape} for {joints} joints")
-    return w
 
 
 def wmpjpe(y_hat, y, joint_weights=None) -> Tensor:
@@ -79,7 +68,7 @@ def wmpjpe(y_hat, y, joint_weights=None) -> Tensor:
     """
     y_hat, y = _prep(y_hat, y)
     frames, joints = y_hat.data.shape[-3], y_hat.data.shape[-2]
-    w_n = _weights(joints, joint_weights)
+    w_n = _joint_weights(joints, joint_weights)
     dist = l2norm_last(y_hat - y)                    # (..., T, N)
     per_seq = (dist * Tensor(w_n)).sum(axis=(-2, -1)) * (1.0 / (frames * joints))
     return per_seq.mean()
@@ -97,7 +86,7 @@ def tc_loss(y_hat, joint_weights=None) -> Tensor:
     frames, joints = y_hat.data.shape[-3], y_hat.data.shape[-2]
     if frames < 2:
         raise ConfigError("temporal-consistency loss needs at least 2 frames")
-    w_n = _weights(joints, joint_weights)
+    w_n = _joint_weights(joints, joint_weights)
     sel_now = (slice(None),) * (y_hat.data.ndim - 3) + (slice(1, None),)
     sel_prev = (slice(None),) * (y_hat.data.ndim - 3) + (slice(None, -1),)
     step = l2norm_last(y_hat[sel_now] - y_hat[sel_prev])     # (..., T-1, N)

@@ -20,7 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward, stack_heads, unstack_heads
-from .numerics import (Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
+from .numerics import (Module, Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
                        linear, no_grad, scaled_dot_attention, uniform_init)
 from .skeleton import SkeletonGraph, build_hybrid_adjacency
 
@@ -94,7 +94,7 @@ class ModelConfig:
         return cls.from_dict(json.loads(text))
 
 
-class EncoderParams:
+class EncoderParams(Module):
     """Pre-LN Transformer encoder: self-attention then a 2-layer GELU MLP."""
 
     def __init__(self, channels: int, heads: int, ff_expansion: int,
@@ -121,11 +121,6 @@ class EncoderParams:
         self.w_ff2 = Parameter(uniform_init(rng, (hidden, channels), hidden), f"{prefix}.w_ff2")
         self.b_ff2 = Parameter(uniform_init(rng, channels, hidden), f"{prefix}.b_ff2")
 
-    def parameters(self) -> list:
-        return [self.ln1_gamma, self.ln1_beta, self.w_q, self.b_q, self.w_k, self.b_k,
-                self.w_v, self.b_v, self.w_o, self.b_o, self.ln2_gamma, self.ln2_beta,
-                self.w_ff1, self.b_ff1, self.w_ff2, self.b_ff2]
-
 
 def encoder_forward(x, params: EncoderParams, training: bool = False,
                     rng: np.random.Generator | None = None, drop_rate: float = 0.0) -> Tensor:
@@ -142,23 +137,17 @@ def encoder_forward(x, params: EncoderParams, training: bool = False,
     return x + dropout(ff, drop_rate, rng, training)
 
 
-class SpatialBlock:
+class SpatialBlock(Module):
     def __init__(self, config: ModelConfig, rng, prefix: str):
         self.hga1 = HgaParams(config.joints, config.embed_dim, config.hga_heads, rng, f"{prefix}.hga1")
         self.hga2 = HgaParams(config.joints, config.embed_dim, config.hga_heads, rng, f"{prefix}.hga2")
         self.ste = EncoderParams(config.embed_dim, config.ste_heads, config.ff_expansion, rng, f"{prefix}.ste")
 
-    def parameters(self):
-        return self.hga1.parameters() + self.hga2.parameters() + self.ste.parameters()
 
-
-class TemporalBlock:
+class TemporalBlock(Module):
     def __init__(self, config: ModelConfig, rng, prefix: str):
         self.ttes = [EncoderParams(config.embed_dim, config.tte_heads, config.ff_expansion,
                                    rng, f"{prefix}.tte{i}") for i in range(3)]
-
-    def parameters(self):
-        return [p for t in self.ttes for p in t.parameters()]
 
 
 def embed_input(x, w_emb, b_emb=None, pe_spatial=None) -> Tensor:
@@ -193,7 +182,7 @@ def regression_head(x, w_head, b_head=None) -> Tensor:
     return linear(x, w_head, b_head)
 
 
-class PoseLifter:
+class PoseLifter(Module):
     """The full lifting network over (..., T, N, channels_in) sequences."""
 
     def __init__(self, config: ModelConfig, skeleton: SkeletonGraph, seed: int = 0):
@@ -215,51 +204,12 @@ class PoseLifter:
         ]
         self.w_head = Parameter(uniform_init(rng, (c, 3), c), "head.w")
         self.b_head = Parameter(uniform_init(rng, 3, c), "head.b")
-
-    # -- parameter access ---------------------------------------------------
-
-    def parameters(self) -> list:
-        params = [self.w_emb, self.b_emb, self.pe_spatial, self.pe_temporal]
-        for sb, tb in self.blocks:
-            params += sb.parameters() + tb.parameters()
-        params += [self.w_head, self.b_head]
-        names = [p.name for p in params]
+        names = [name for name, _ in self.named_state()]
         if len(set(names)) != len(names):
-            raise ConfigError("duplicate parameter names in model")
-        return params
+            raise ConfigError("duplicate parameter or buffer names in model")
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
-    def state_dict(self) -> dict:
-        state = {p.name: p.data for p in self.parameters()}
-        for l, (sb, _) in enumerate(self.blocks):
-            for m, hga in enumerate((sb.hga1, sb.hga2), start=1):
-                state[f"block{l}.spatial.hga{m}.bn_mean"] = hga.bn_mean
-                state[f"block{l}.spatial.hga{m}.bn_var"] = hga.bn_var
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        params = {p.name: p for p in self.parameters()}
-        for name, p in params.items():
-            if name not in state:
-                raise ConfigError(f"checkpoint missing parameter {name!r}")
-            value = np.asarray(state[name], dtype=p.data.dtype)
-            if value.shape != p.data.shape:
-                raise ShapeError(f"{name}: checkpoint shape {value.shape} vs model {p.data.shape}")
-            p.data = value.copy()
-        for l, (sb, _) in enumerate(self.blocks):
-            for m, hga in enumerate((sb.hga1, sb.hga2), start=1):
-                mean = state.get(f"block{l}.spatial.hga{m}.bn_mean")
-                var = state.get(f"block{l}.spatial.hga{m}.bn_var")
-                if mean is not None:
-                    hga.bn_mean[:] = mean
-                if var is not None:
-                    hga.bn_var[:] = var
 
     # -- forward -------------------------------------------------------------
 
@@ -283,14 +233,6 @@ class PoseLifter:
         return regression_head(e, self.w_head, self.b_head)
 
     __call__ = forward
-
-
-def preliminary_forward(x2d, model: PoseLifter, training: bool = False,
-                        rng=None, attn_sink=None) -> Tensor:
-    """Forward of the 2D-only variant; guards the channel contract."""
-    if model.config.channels_in != 2:
-        raise ConfigError("preliminary model must be built with channels_in=2")
-    return model.forward(x2d, training=training, rng=rng, attn_sink=attn_sink)
 
 
 def two_stage_forward(x2d, preliminary: PoseLifter, main: PoseLifter,

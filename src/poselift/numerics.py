@@ -11,8 +11,9 @@ The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
 differences, eps 1e-5) to better than 1e-4 relative error.
 
-Also houses the parameter checkpoint format: ``HGFW1`` magic followed by
-per-parameter records (u32 name length, name bytes, u32 rank, u32 dims,
+Also houses the ``Module`` base that finds a model's parameters and
+buffers, and the checkpoint format: ``HGFW1`` magic followed by
+per-entry records (u32 name length, name bytes, u32 rank, u32 dims,
 little-endian f32 payload).
 """
 
@@ -23,7 +24,8 @@ import struct
 import numpy as np
 from scipy.special import erf as _erf_np
 
-from .errors import DataError, DivergenceError, FormatError, ShapeError, TruncatedFileError
+from .errors import (ConfigError, DataError, DivergenceError, FormatError, ShapeError,
+                     TruncatedFileError)
 
 _SQRT2 = float(np.sqrt(2.0))
 _TWO_OVER_SQRT_PI = float(2.0 / np.sqrt(np.pi))
@@ -354,6 +356,73 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+
+class Module:
+    """A model building block whose state is found by walking its attributes.
+
+    The walk visits attributes in definition order and enters Parameters,
+    Modules, and lists or tuples of them.  A Parameter keeps its own name;
+    a plain ndarray attribute is a buffer (saved and loaded, not trained)
+    named ``{self.prefix}.{attr}``, so a module with buffers sets `prefix`.
+    """
+
+    def named_state(self):
+        """Yield (name, Parameter or buffer ndarray) in definition order."""
+        for attr, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                yield f"{self.prefix}.{attr}", value
+            else:
+                yield from _named_state(value)
+
+    def parameters(self) -> list:
+        return [v for _, v in self.named_state() if isinstance(v, Parameter)]
+
+    def zero_grad(self) -> None:
+        for p in self.parameters():
+            p.grad = None
+
+    def state_dict(self) -> dict:
+        return {name: v.data if isinstance(v, Parameter) else v
+                for name, v in self.named_state()}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Copy `state` into the parameters and buffers, checked strictly.
+
+        A missing or unknown name raises ConfigError, a wrong shape
+        ShapeError and a non-finite value DataError; nothing is written
+        unless every entry passes.
+        """
+        own = dict(self.named_state())
+        if own.keys() != state.keys():
+            missing = sorted(own.keys() - state.keys())
+            unknown = sorted(state.keys() - own.keys())
+            raise ConfigError(f"checkpoint names differ from the model's: {len(missing)} "
+                              f"missing {missing[:3]}, {len(unknown)} unknown {unknown[:3]}")
+        values = {}
+        for name, target in own.items():
+            current = target.data if isinstance(target, Parameter) else target
+            value = np.array(state[name], dtype=current.dtype)
+            if value.shape != current.shape:
+                raise ShapeError(f"{name}: checkpoint shape {value.shape} vs model {current.shape}")
+            if not np.isfinite(value).all():
+                raise DataError(f"{name}: non-finite values in checkpoint")
+            values[name] = value
+        for name, target in own.items():
+            if isinstance(target, Parameter):
+                target.data = values[name]
+            else:
+                target[...] = values[name]
+
+
+def _named_state(value):
+    if isinstance(value, Parameter):
+        yield value.name, value
+    elif isinstance(value, Module):
+        yield from value.named_state()
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _named_state(item)
 
 
 def as_tensor(x) -> Tensor:

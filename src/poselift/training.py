@@ -59,6 +59,8 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr decay must lie in (0,1], got {self.lr_decay}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.stage not in ("preliminary", "main"):
@@ -78,11 +80,7 @@ class TrainConfig:
                 raise ConfigError("the preliminary network must be deeper than the main one")
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        if self.noise is not None:
-            doc["noise"] = {"groups": [list(g) for g in self.noise.groups],
-                            "stds": list(self.noise.stds), "seed": self.noise.seed}
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -247,6 +245,22 @@ def _loss_weights(model_cfg: ModelConfig) -> LossWeights:
                        lambda_f=model_cfg.lambda_f, joint_weights=w)
 
 
+def _stage_models(cfg: TrainConfig, skeleton: SkeletonGraph,
+                  checkpoint: str | None = None) -> tuple:
+    """(model, preliminary) for cfg's stage, the model loaded from `checkpoint`
+    if given; for stage 'main' the preliminary loads cfg.preliminary_checkpoint."""
+    model = PoseLifter(cfg.model, skeleton, seed=cfg.seed)
+    if checkpoint is not None:
+        model.load_state_dict(load_checkpoint(checkpoint))
+    preliminary = None
+    if cfg.stage == "main":
+        if cfg.preliminary_checkpoint is None:
+            raise ConfigError("stage 'main' requires a trained preliminary checkpoint")
+        preliminary = PoseLifter(cfg.preliminary_model, skeleton, seed=cfg.seed)
+        preliminary.load_state_dict(load_checkpoint(cfg.preliminary_checkpoint))
+    return model, preliminary
+
+
 def _predict_eval(model: PoseLifter, preliminary: PoseLifter | None, x2d: np.ndarray) -> np.ndarray:
     """Clean eval-mode prediction for one (T, N, 2) input."""
     with no_grad():
@@ -288,14 +302,7 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
     if len(train_idx) == 0:
         raise DataError("validation split leaves no training sequences")
 
-    model = PoseLifter(cfg.model, skeleton, seed=cfg.seed)
-    preliminary = None
-    if cfg.stage == "main":
-        if cfg.preliminary_checkpoint is None:
-            raise ConfigError("stage 'main' requires a trained preliminary checkpoint")
-        preliminary = PoseLifter(cfg.preliminary_model, skeleton, seed=cfg.seed)
-        preliminary.load_state_dict(load_checkpoint(cfg.preliminary_checkpoint))
-
+    model, preliminary = _stage_models(cfg, skeleton)
     weights = _loss_weights(cfg.model)
     freq_cfg = FreqLossConfig(joint_weights=weights.joint_weights)
     params = model.parameters()
@@ -303,7 +310,7 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
 
     # With no input jitter, the first-stage predictions never change.
     pre_cache = None
-    if cfg.stage == "main" and cfg.jitter_2d_std == 0:
+    if preliminary is not None and cfg.jitter_2d_std == 0:
         with no_grad():
             pre_cache = preliminary.forward(x2d_all).data.astype(np.float64)
 
@@ -326,17 +333,16 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
                 yb = y_all[batch]
                 if cfg.jitter_2d_std > 0:
                     xb = xb + rng.normal(0.0, cfg.jitter_2d_std, size=xb.shape)
-                if cfg.stage == "main" and pre_cache is not None:
-                    y_pre = pre_cache[batch]
+                if preliminary is not None:
+                    if pre_cache is not None:
+                        y_pre = pre_cache[batch]
+                    else:
+                        with no_grad():
+                            y_pre = preliminary.forward(xb).data
                     if cfg.noise is not None:
                         y_pre = data_mod.inject_noise(y_pre, cfg.noise, rng)
-                    out = model.forward(np.concatenate([xb, y_pre], axis=-1),
-                                        training=True, rng=rng)
-                elif cfg.stage == "main":
-                    out = two_stage_forward(xb, preliminary, model, noise_cfg=cfg.noise,
-                                            rng=rng, training=True)
-                else:
-                    out = model.forward(xb, training=True, rng=rng)
+                    xb = np.concatenate([xb, y_pre], axis=-1)
+                out = model.forward(xb, training=True, rng=rng)
                 breakdown = total_loss(out, yb, weights, freq_cfg)
                 vals = breakdown.values()
                 step = step_start // cfg.batch_size
@@ -395,16 +401,8 @@ def evaluate(cfg: TrainConfig, checkpoint: str | None = None, data_dir: str | No
     sequences, names, skeleton = load_dataset(data_dir or cfg.data_dir)
     x2d_all, y_all = prepare_pairs(sequences, skeleton, root_center=cfg.root_center)
     with precision(cfg.precision):
-        model = PoseLifter(cfg.model, skeleton, seed=cfg.seed)
-        ckpt = checkpoint or str(Path(cfg.out_dir) / "best.ckpt")
-        model.load_state_dict(load_checkpoint(ckpt))
-        preliminary = None
-        if cfg.stage == "main":
-            if cfg.preliminary_checkpoint is None:
-                raise ConfigError("stage 'main' requires a trained preliminary checkpoint")
-            preliminary = PoseLifter(cfg.preliminary_model, skeleton, seed=cfg.seed)
-            preliminary.load_state_dict(load_checkpoint(cfg.preliminary_checkpoint))
-
+        model, preliminary = _stage_models(
+            cfg, skeleton, checkpoint or str(Path(cfg.out_dir) / "best.ckpt"))
         predictions, references = [], []
         for i in range(len(sequences)):
             pred = _predict_eval(model, preliminary, x2d_all[i]).astype(np.float64)

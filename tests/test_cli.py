@@ -1,12 +1,14 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import poselift as pl
-from poselift.cli import main
+from poselift.cli import _train_config, build_parser, main
+from poselift.errors import ConfigError, DataError, PoseLiftError, ShapeError
 from poselift.frequency import dct_matrix
-from poselift.network import ModelConfig
+from poselift.network import ModelConfig, PoseLifter
 from poselift.training import TrainConfig
 
 
@@ -169,3 +171,67 @@ class TestTrainEvalCli:
         cfg_path = write_train_config(tmp_path, data_dir, tmp_path / "run",
                                       learning_rate=1e18, epochs=40)
         assert run(["train", "--config", cfg_path]) == 4
+
+    def test_zero_epochs_is_config_error(self, tmp_path):
+        data_dir = tmp_path / "ds"
+        run(["gen-data", "--out", data_dir, "--count", 2, "--frames", 9])
+        cfg_path = write_train_config(tmp_path, data_dir, tmp_path / "run")
+        assert run(["train", "--config", cfg_path, "--epochs", 0]) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_model_overrides_reach_preliminary_model_except_depth(self, tmp_path):
+        main_model = ModelConfig(frames=9, channels_in=5, embed_dim=8, depth=2,
+                                 ste_heads=2, tte_heads=2, hga_heads=2)
+        pre_model = ModelConfig(**{**asdict(main_model), "channels_in": 2, "depth": 4})
+        cfg_path = write_train_config(tmp_path, tmp_path / "ds", tmp_path / "run", stage="main",
+                                      model=main_model, preliminary_model=pre_model,
+                                      preliminary_checkpoint="pre.ckpt")
+        args = build_parser().parse_args(
+            [str(a) for a in ["train", "--config", cfg_path, "--frames", 5, "--dim", 4,
+                              "--depth", 3, "--hops", 3, "--lambda-f", 0.5, "--seed", 4,
+                              "--epochs", 7, "--data", tmp_path / "d2", "--out", tmp_path / "o2"]])
+        cfg = _train_config(args)
+        assert (cfg.model.depth, cfg.preliminary_model.depth) == (3, 4)
+        for model in (cfg.model, cfg.preliminary_model):
+            assert (model.frames, model.embed_dim, model.hop_count, model.lambda_f) == (5, 4, 3, 0.5)
+            assert model.hop_weights == (1.0, 1.0, 1.0)
+        assert (cfg.seed, cfg.epochs, cfg.stage) == (4, 7, "main")
+        assert (cfg.data_dir, cfg.out_dir) == (str(tmp_path / "d2"), str(tmp_path / "o2"))
+
+
+def _without_head_w(state, deeper):
+    return {k: v for k, v in state.items() if k != "head.w"}
+
+
+BAD_CHECKPOINTS = {
+    "missing name": (_without_head_w, ConfigError, 2),
+    "unknown name": (lambda s, deeper: {**s, "head.extra": np.zeros(3)}, ConfigError, 2),
+    "wrong-shaped parameter": (lambda s, deeper: {**s, "head.w": np.zeros((3, 3))}, ShapeError, 2),
+    "wrong-shaped buffer": (lambda s, deeper: {**s, "block0.spatial.hga1.bn_mean": np.zeros(5)},
+                            ShapeError, 2),
+    "NaN value": (lambda s, deeper: {**s, "embed.w": np.full_like(s["embed.w"], np.nan)},
+                  DataError, 3),
+    "depth-3 checkpoint into depth-2 model": (lambda s, deeper: deeper, ConfigError, 2),
+}
+
+
+@pytest.mark.parametrize("corrupt, error, exit_code", BAD_CHECKPOINTS.values(),
+                         ids=BAD_CHECKPOINTS.keys())
+def test_strict_checkpoint_loading(tmp_path, capsys, corrupt, error, exit_code):
+    data_dir = tmp_path / "ds"
+    run(["gen-data", "--out", data_dir, "--count", 2, "--frames", 9])
+    cfg_path = write_train_config(tmp_path, data_dir, tmp_path / "run")
+    cfg = TrainConfig.from_json_file(cfg_path)
+    skeleton = pl.human36m_skeleton()
+    model = PoseLifter(cfg.model, skeleton)
+    deeper = PoseLifter(ModelConfig(**{**asdict(cfg.model), "depth": 3}), skeleton)
+    state = corrupt(dict(model.state_dict()), deeper.state_dict())
+    with pytest.raises(PoseLiftError) as raised:
+        model.load_state_dict(state)
+    assert isinstance(raised.value, error)
+
+    checkpoint = tmp_path / "bad.ckpt"
+    pl.save_checkpoint(state, checkpoint)
+    capsys.readouterr()
+    assert run(["eval", "--config", cfg_path, "--checkpoint", checkpoint]) == exit_code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -6,7 +6,7 @@ import pytest
 from poselift.data import NoiseConfig
 from poselift.errors import ConfigError, ShapeError
 from poselift.network import (EncoderParams, ModelConfig, PoseLifter, embed_input,
-                              encoder_forward, preliminary_forward, regression_head,
+                              encoder_forward, regression_head,
                               spatial_block_forward, temporal_block_forward,
                               two_stage_forward)
 from poselift.numerics import Parameter, Tensor, grad_check, linear
@@ -254,13 +254,6 @@ class TestTwoStage:
         pre = PoseLifter(tiny_config(channels_in=2, depth=2), skeleton, seed=seed)
         main = PoseLifter(tiny_config(channels_in=5, depth=1), skeleton, seed=seed + 1)
         return pre, main
-
-    def test_preliminary_forward_guards_channels(self):
-        pre, main = self.make_pipeline()
-        with pytest.raises(ConfigError):
-            preliminary_forward(np.zeros((3, 3, 2)), main)
-        out = preliminary_forward(np.zeros((3, 3, 2)), pre)
-        assert out.data.shape == (3, 3, 3)
 
     def test_zero_noise_is_deterministic(self):
         pre, main = self.make_pipeline()
