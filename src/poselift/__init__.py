@@ -9,7 +9,7 @@ from .skeleton import (HybridAdjacency, SkeletonGraph, build_hybrid_adjacency,
                        human36m_skeleton, hybrid_skeleton_matrix, khop_adjacency,
                        load_skeleton, save_skeleton, shortest_path_hops,
                        symmetric_matrix)
-from .numerics import (Parameter, Tensor, batch_norm, cat, default_dtype,
+from .numerics import (Parameter, Tensor, batch_norm, cat,
                        dropout, gelu, grad_check, l2norm_last, layer_norm,
                        linear, load_checkpoint, no_grad, precision,
                        save_checkpoint, scaled_dot_attention, softmax_rows)

@@ -32,6 +32,8 @@ def _load_skeleton_arg(path: str | None):
 
 
 def cmd_gen_data(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     skeleton = _load_skeleton_arg(args.skeleton)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -97,18 +99,28 @@ def cmd_eval(args) -> int:
 
 
 def _read_trajectories(path) -> tuple:
-    """CSV of one column per trajectory; optional non-numeric header."""
+    """CSV of one column per trajectory; optional non-numeric header.
+
+    A non-numeric value or a row of a different width than the first
+    raises DataError naming its line."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+        lines = [(number, ln.strip()) for number, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty trajectory file")
     header = None
     try:
-        float(lines[0].split(",")[0])
+        float(lines[0][1].split(",")[0])
     except ValueError:
-        header = lines[0]
-        lines = lines[1:]
-    rows = [[float(v) for v in ln.split(",")] for ln in lines]
+        header = lines.pop(0)[1]
+    rows = []
+    for number, line in lines:
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise DataError(f"{path}: line {number}: non-numeric value in {line!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise DataError(f"{path}: line {number}: {len(rows[-1])} columns, "
+                            f"expected {len(rows[0])}")
     return header, np.asarray(rows, dtype=np.float64)
 
 

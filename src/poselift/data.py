@@ -196,8 +196,7 @@ def generate_motion(skeleton: SkeletonGraph, frames: int, fps: float = 50.0,
         angles = wave.amplitude * np.sin(2.0 * np.pi * wave.frequency * times + wave.phase)
         rotations[:, j] = _axis_angle_matrices(np.asarray(wave.axis), angles)
 
-    parents = skeleton.parents()
-    order = skeleton.bfs_order()
+    order, parents, _ = skeleton.walk()
     positions = np.zeros((frames, n, 3))
     global_rot = np.zeros((frames, n, 3, 3))
 
@@ -275,6 +274,8 @@ class NoiseConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        self.groups = tuple(tuple(g) for g in self.groups)
+        self.stds = tuple(self.stds)
         if len(self.groups) != len(self.stds):
             raise ConfigError(f"{len(self.groups)} groups vs {len(self.stds)} stds")
         for s in self.stds:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the strict constructor
+that turns a JSON object into a config dataclass.
 
 CLI exit-code mapping: ConfigError-family -> 2, DataError-family -> 3,
 DivergenceError -> 4.
@@ -43,3 +44,12 @@ class ProjectionError(DataError):
 
 class DivergenceError(PoseLiftError):
     """A numeric quantity became non-finite."""
+
+
+def config_from_dict(cls, doc: dict, what: str):
+    """``cls(**doc)`` for a config dataclass: a key `cls` has no field for
+    raises ConfigError, and an omitted key takes the field's default."""
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} config fields: {sorted(unknown)}")
+    return cls(**doc)

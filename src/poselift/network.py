@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, config_from_dict
 from .hga import HgaParams, default_head_count, hga_forward, stack_heads, unstack_heads
 from .numerics import (Module, Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
                        linear, no_grad, scaled_dot_attention, uniform_init)
@@ -83,11 +83,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown model config fields: {sorted(unknown)}")
-        return cls(**doc)
+        return config_from_dict(cls, doc, "model")
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":

@@ -28,7 +28,6 @@ from .errors import (ConfigError, DataError, DivergenceError, FormatError, Shape
                      TruncatedFileError)
 
 _SQRT2 = float(np.sqrt(2.0))
-_TWO_OVER_SQRT_PI = float(2.0 / np.sqrt(np.pi))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 _grad_enabled = True
@@ -48,10 +47,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def default_dtype() -> np.dtype:
-    return _default_dtype
 
 
 class precision:
@@ -179,14 +174,6 @@ class Tensor:
 
     # -- conveniences --------------------------------------------------------
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -223,9 +210,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = self.data * other.data
@@ -239,12 +223,6 @@ class Tensor:
         return Tensor._node(out_data, (self, other), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        return self * (as_tensor(other) ** -1.0)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) * (self ** -1.0)
 
     def __pow__(self, exponent: float) -> "Tensor":
         p = float(exponent)
@@ -285,9 +263,8 @@ class Tensor:
 
         return Tensor._node(np.asarray(out_data), (self,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else _axis_size(self.data.shape, axis)
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -315,32 +292,6 @@ class Tensor:
             full = np.zeros_like(self.data)
             full[idx] = g
             self._accum_owned(full)
-
-        return Tensor._node(out_data, (self,), bw)
-
-    # -- pointwise nonlinearities ----------------------------------------------
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def bw(g):
-            self._accum_owned(g * out_data)
-
-        return Tensor._node(out_data, (self,), bw)
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def bw(g):
-            self._accum_owned(g * 0.5 / out_data)
-
-        return Tensor._node(out_data, (self,), bw)
-
-    def erf(self) -> "Tensor":
-        out_data = _erf_np(self.data)
-
-        def bw(g):
-            self._accum_owned(g * _TWO_OVER_SQRT_PI * np.exp(-self.data ** 2))
 
         return Tensor._node(out_data, (self,), bw)
 
@@ -427,15 +378,6 @@ def _named_state(value):
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _axis_size(shape: tuple, axis) -> int:
-    if isinstance(axis, int):
-        return shape[axis]
-    n = 1
-    for a in axis:
-        n *= shape[a]
-    return n
 
 
 def cat(tensors: list, axis: int = -1) -> Tensor:

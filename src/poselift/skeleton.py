@@ -9,7 +9,6 @@ matrix, and the weighted hybrid matrix that mixes all of them.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,34 +73,30 @@ class SkeletonGraph:
             adj[j].append(i)
         return adj
 
+    def walk(self, source: int | None = None) -> tuple:
+        """Breadth-first walk over the bone edges from `source` (default: the root).
+
+        Returns (order, parent, hops): the joints in visiting order, each
+        joint's parent on the walk and its hop distance from `source`, with
+        -1 for the source's parent and for every unreachable joint.
+        """
+        source = self.root_index if source is None else source
+        adj = self.neighbours()
+        parent = np.full(self.joint_count, -1, dtype=int)
+        hops = np.full(self.joint_count, -1, dtype=int)
+        hops[source] = 0
+        order = [source]
+        for u in order:  # grows while it is read: a FIFO queue
+            for v in adj[u]:
+                if hops[v] < 0:
+                    hops[v] = hops[u] + 1
+                    parent[v] = u
+                    order.append(v)
+        return order, parent, hops
+
     def parents(self) -> np.ndarray:
         """Parent index per joint (root's parent is -1), BFS order from root."""
-        par = np.full(self.joint_count, -1, dtype=int)
-        adj = self.neighbours()
-        seen = {self.root_index}
-        queue = deque([self.root_index])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    par[v] = u
-                    queue.append(v)
-        return par
-
-    def bfs_order(self) -> list:
-        order = []
-        adj = self.neighbours()
-        seen = {self.root_index}
-        queue = deque([self.root_index])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return order
+        return self.walk()[1]
 
 
 def shortest_path_hops(graph: SkeletonGraph) -> np.ndarray:
@@ -110,25 +105,15 @@ def shortest_path_hops(graph: SkeletonGraph) -> np.ndarray:
     Symmetric pairs do not contribute edges.  Raises GraphStructureError
     naming the unreachable joints if the graph is disconnected.
     """
-    n = graph.joint_count
-    adj = graph.neighbours()
-    hops = np.zeros((n, n), dtype=int)
-    for src in range(n):
-        dist = np.full(n, -1, dtype=int)
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+    rows = []
+    for src in range(graph.joint_count):
+        dist = graph.walk(src)[2]
         if (dist < 0).any():
             unreachable = np.flatnonzero(dist < 0).tolist()
             raise GraphStructureError(
                 f"graph is disconnected: joints {unreachable} unreachable from joint {src}")
-        hops[src] = dist
-    return hops
+        rows.append(dist)
+    return np.stack(rows)
 
 
 def khop_adjacency(hops: np.ndarray, k: int) -> np.ndarray:
@@ -232,8 +217,13 @@ def human36m_skeleton() -> SkeletonGraph:
 def load_skeleton(path) -> SkeletonGraph:
     """Read a skeleton JSON document: joints, edges, symmetric_pairs, root."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    names = doc.get("joints")
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+    names = doc.get("joints") if isinstance(doc, dict) else None
+    if not isinstance(names, list):
+        raise ConfigError(f"{path}: a skeleton needs a 'joints' list of names")
     return SkeletonGraph(
         joint_count=len(names),
         edges=doc.get("edges", ()),

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, config_from_dict
 from .frequency import FreqLossConfig
 from .losses import LossWeights, total_loss
-from .metrics import EvalReport, evaluate_sequences, root_relative
+from .metrics import EvalReport, evaluate_sequences, mpjpe, root_relative
 from .network import ModelConfig, PoseLifter, two_stage_forward
 from .numerics import load_checkpoint, no_grad, precision, save_checkpoint
 from .skeleton import SkeletonGraph, human36m_skeleton, load_skeleton
@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.stage not in ("preliminary", "main"):
             raise ConfigError(f"stage must be 'preliminary' or 'main', got {self.stage!r}")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -84,26 +86,23 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a train config is a JSON object, got {type(doc).__name__}")
         doc = dict(doc)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
-        if isinstance(doc.get("model"), dict):
-            doc["model"] = ModelConfig.from_dict(doc["model"])
-        if isinstance(doc.get("preliminary_model"), dict):
-            doc["preliminary_model"] = ModelConfig.from_dict(doc["preliminary_model"])
-        if isinstance(doc.get("noise"), dict):
-            nd = doc["noise"]
-            doc["noise"] = data_mod.NoiseConfig(
-                groups=tuple(tuple(g) for g in nd["groups"]),
-                stds=tuple(nd["stds"]), seed=nd.get("seed"))
-        return cls(**doc)
+        for name, kind in (("model", ModelConfig), ("preliminary_model", ModelConfig),
+                           ("noise", data_mod.NoiseConfig)):
+            if isinstance(doc.get(name), dict):
+                doc[name] = config_from_dict(kind, doc[name], name)
+        return config_from_dict(cls, doc, "train")
 
     @classmethod
     def from_json_file(cls, path) -> "TrainConfig":
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+        return cls.from_dict(doc)
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -168,10 +167,6 @@ class AdamW:
         adamw_step(self.params, grads, self.state, self.lr if lr is None else lr,
                    self.betas, self.eps, self.weight_decay)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     """Exponential decay: initial rate times decay^epoch."""
@@ -205,6 +200,10 @@ def load_dataset(data_dir) -> tuple:
     if not paths:
         raise DataError(f"no .pseq sequences in {data_dir}")
     sequences = [data_mod.read_sequence(p) for p in paths]
+    for path, seq in zip(paths, sequences):
+        if seq.values.shape[:2] != sequences[0].values.shape[:2]:
+            raise DataError(f"{path}: {seq.frames} frames x {seq.joints} joints, but "
+                            f"{paths[0].name} has {sequences[0].frames} x {sequences[0].joints}")
     skel_path = data_dir / "skeleton.json"
     skeleton = load_skeleton(skel_path) if skel_path.exists() else human36m_skeleton()
     return sequences, [p.stem for p in paths], skeleton
@@ -261,14 +260,21 @@ def _stage_models(cfg: TrainConfig, skeleton: SkeletonGraph,
     return model, preliminary
 
 
-def _predict_eval(model: PoseLifter, preliminary: PoseLifter | None, x2d: np.ndarray) -> np.ndarray:
-    """Clean eval-mode prediction for one (T, N, 2) input."""
-    with no_grad():
-        if preliminary is not None:
-            out = two_stage_forward(x2d, preliminary, model)
-        else:
-            out = model.forward(x2d)
-    return out.data
+def _scored_pairs(model: PoseLifter, preliminary: PoseLifter | None, x2d_all: np.ndarray,
+                  y_all: np.ndarray, indices, cfg: TrainConfig, root_index: int):
+    """Yield (pred, ref) per sequence in `indices`: the clean eval-mode
+    prediction and its target, float64 metres, both root-relative when
+    cfg.root_center is set."""
+    for i in indices:
+        with no_grad():
+            if preliminary is not None:
+                out = two_stage_forward(x2d_all[i], preliminary, model)
+            else:
+                out = model.forward(x2d_all[i])
+        pred, ref = out.data.astype(np.float64), y_all[i]
+        if cfg.root_center:
+            pred, ref = root_relative(pred, root_index), root_relative(ref, root_index)
+        yield pred, ref
 
 
 def train(cfg: TrainConfig) -> TrainResult:
@@ -361,8 +367,9 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
             epoch_losses.append(float(np.mean(step_losses)))
 
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-                val_err = _validation_mpjpe(model, preliminary, x2d_all, y_all, val_idx,
-                                            cfg.root_center, skeleton.root_index)
+                pairs = _scored_pairs(model, preliminary, x2d_all, y_all, val_idx, cfg,
+                                      skeleton.root_index)
+                val_err = float(np.mean([mpjpe(p, r) * MM_PER_UNIT for p, r in pairs]))
                 epoch_vals.append((epoch, val_err))
                 if val_err < best_val:
                     best_val = val_err
@@ -374,19 +381,6 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
     return TrainResult(best_checkpoint=str(best_path), last_checkpoint=str(last_path),
                        log_path=str(log_path), best_val_mpjpe_mm=float(best_val),
                        epoch_losses=epoch_losses, epoch_val_mpjpe=epoch_vals)
-
-
-def _validation_mpjpe(model, preliminary, x2d_all, y_all, indices,
-                      root_center: bool, root_index: int) -> float:
-    errors = []
-    for i in indices:
-        pred = _predict_eval(model, preliminary, x2d_all[i])
-        ref = y_all[i]
-        if root_center:
-            pred = root_relative(pred, root_index)
-            ref = root_relative(ref, root_index)
-        errors.append(np.linalg.norm(pred - ref, axis=-1).mean() * MM_PER_UNIT)
-    return float(np.mean(errors))
 
 
 def evaluate(cfg: TrainConfig, checkpoint: str | None = None, data_dir: str | None = None,
@@ -404,12 +398,8 @@ def evaluate(cfg: TrainConfig, checkpoint: str | None = None, data_dir: str | No
         model, preliminary = _stage_models(
             cfg, skeleton, checkpoint or str(Path(cfg.out_dir) / "best.ckpt"))
         predictions, references = [], []
-        for i in range(len(sequences)):
-            pred = _predict_eval(model, preliminary, x2d_all[i]).astype(np.float64)
-            ref = y_all[i]
-            if cfg.root_center:
-                pred = root_relative(pred, skeleton.root_index)
-                ref = root_relative(ref, skeleton.root_index)
+        for pred, ref in _scored_pairs(model, preliminary, x2d_all, y_all,
+                                       range(len(sequences)), cfg, skeleton.root_index):
             if central_frame:
                 mid = pred.shape[0] // 2
                 pred, ref = pred[mid : mid + 1], ref[mid : mid + 1]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ from poselift.errors import ConfigError, DataError, PoseLiftError, ShapeError
 from poselift.frequency import dct_matrix
 from poselift.network import ModelConfig, PoseLifter
 from poselift.training import TrainConfig
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv):
@@ -235,3 +242,61 @@ def test_strict_checkpoint_loading(tmp_path, capsys, corrupt, error, exit_code):
     capsys.readouterr()
     assert run(["eval", "--config", cfg_path, "--checkpoint", checkpoint]) == exit_code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def _config_doc(tmp_path, **changes):
+    """A valid preliminary config on a generated 2-sequence dataset, edited."""
+    data_dir = tmp_path / "ds"
+    run(["gen-data", "--out", data_dir, "--count", 2, "--frames", 9])
+    path = write_train_config(tmp_path, data_dir, tmp_path / "run")
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    return path
+
+
+def _mixed_dataset(tmp_path):
+    path = _config_doc(tmp_path)
+    seq = pl.generate_motion(pl.human36m_skeleton(), frames=11, seed=9)
+    pl.write_sequence(seq, tmp_path / "ds" / "seq_002.pseq")
+    return ["train", "--config", path]
+
+
+def _written(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+# name -> (argv built in tmp_path, exit code, text the one-line message names)
+MALFORMED_INPUTS = {
+    "eval_every 0": (lambda p: ["train", "--config", _config_doc(p, eval_every=0)], 2,
+                     "eval_every"),
+    "unknown noise key": (lambda p: ["train", "--config", _config_doc(
+        p, noise={**asdict(pl.NoiseConfig()), "sedd": 1})], 2, "sedd"),
+    "malformed config JSON": (lambda p: ["train", "--config", _written(p, "c.json", "{")], 2,
+                              "malformed JSON"),
+    "config not an object": (lambda p: ["train", "--config", _written(p, "c.json", "[1]")], 2,
+                             "JSON object"),
+    "sequences of different lengths": (_mixed_dataset, 3, "seq_002.pseq"),
+    "ragged CSV": (lambda p: ["dct", "--in", _written(p, "t.csv", "a,b\n1,2\n3\n")], 3,
+                   "line 3"),
+    "non-numeric CSV": (lambda p: ["smooth", "--keep", 1, "--in",
+                                   _written(p, "t.csv", "1,2\n3,x\n")], 3, "line 2"),
+    "skeleton without joints": (lambda p: ["inspect-adjacency", "--skeleton",
+                                           _written(p, "sk.json", '{"edges": []}')], 2, "joints"),
+    "malformed skeleton JSON": (lambda p: ["gen-data", "--out", p / "g", "--skeleton",
+                                           _written(p, "sk.json", "{")], 2, "malformed JSON"),
+    "gen-data count 0": (lambda p: ["gen-data", "--out", p / "g", "--count", 0], 2, "--count"),
+}
+
+
+@pytest.mark.parametrize("argv, exit_code, named", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exit_codes(tmp_path, argv, exit_code, named):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "poselift.cli", *map(str, argv(tmp_path))],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == exit_code, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert named in result.stderr

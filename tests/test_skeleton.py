@@ -53,6 +53,33 @@ class TestShortestPathHops:
             assert (hops <= hops[:, k : k + 1] + hops[k : k + 1, :]).all()
 
 
+class TestWalk:
+    # 3 is the root; 1 and 4 branch, 6 continues to 7.
+    TREE = SkeletonGraph(joint_count=8, edges=[(3, 0), (3, 1), (1, 2), (3, 4), (4, 5), (4, 6),
+                                               (6, 7)], root_index=3)
+
+    def test_order_parents_and_hops_from_the_root(self):
+        order, parent, hops = self.TREE.walk()
+        assert order == [3, 0, 1, 4, 2, 5, 6, 7]
+        assert parent.tolist() == [3, 3, 1, -1, 3, 4, 4, 6]
+        assert hops.tolist() == [1, 1, 2, 0, 1, 2, 2, 3]
+        assert np.array_equal(self.TREE.parents(), parent)
+        assert all(order.index(parent[j]) < order.index(j) for j in order[1:])
+
+    def test_hops_from_every_source_match_scipy_oracle(self):
+        oracle = scipy_shortest_path(dense_adjacency(self.TREE), unweighted=True).astype(int)
+        rows = [self.TREE.walk(src)[2] for src in range(self.TREE.joint_count)]
+        assert np.array_equal(np.stack(rows), oracle)
+        assert np.array_equal(shortest_path_hops(self.TREE), oracle)
+
+    def test_unreachable_joints_get_minus_one(self):
+        graph = SkeletonGraph(joint_count=4, edges=[(0, 1), (2, 3)], validate=False)
+        order, parent, hops = graph.walk(1)
+        assert order == [1, 0]
+        assert parent.tolist() == [1, -1, -1, -1]
+        assert hops.tolist() == [1, 0, -1, -1]
+
+
 class TestKhopAdjacency:
     def test_chain_k1_is_edge_set(self):
         hops = shortest_path_hops(chain(3))

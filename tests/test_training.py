@@ -163,6 +163,14 @@ class TestTrainConfig:
         assert restored.noise.stds == cfg.noise.stds
         assert restored.learning_rate == cfg.learning_rate
 
+    def test_noise_object_follows_the_model_rule(self):
+        default = TrainConfig.from_dict({"noise": {}}).noise
+        assert default == pl.NoiseConfig()
+        listed = TrainConfig.from_dict({"noise": {"groups": [[0], [1, 2]], "stds": [0.1, 0.2]}})
+        assert listed.noise.groups == ((0,), (1, 2)) and listed.noise.stds == (0.1, 0.2)
+        with pytest.raises(ConfigError, match="sedd"):
+            TrainConfig.from_dict({"noise": {"sedd": 3}})
+
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0, model=ModelConfig(channels_in=2, depth=3))
