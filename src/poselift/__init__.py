@@ -16,17 +16,15 @@ from .numerics import (Parameter, Tensor, batch_norm, cat,
 from .frequency import (FreqLossConfig, apply_truncation, dct_forward,
                         dct_inverse, dct_matrix, freq_loss,
                         freq_loss_spatial_axis, trajectory_spectrum)
-from .losses import (LossBreakdown, LossWeights, grouped_joint_weights,
-                     mpjve_loss, tc_loss, total_loss, wmpjpe)
+from .losses import (LossBreakdown, LossWeights, mpjve_loss, tc_loss, total_loss,
+                     wmpjpe)
 from .metrics import (EvalReport, evaluate_sequences, mpjpe, mpjve, p_mpjpe,
-                      pck_auc, root_relative, similarity_align)
+                      pck_auc, root_relative)
 from .data import (Camera, JointWave, MotionSpec, NoiseConfig, PoseSequence,
-                   concat_2d3d, export_csv, generate_motion, inject_noise,
-                   project_2d, random_motion_spec, read_sequence, split_2d3d,
-                   unproject_2d, write_sequence)
+                   export_csv, generate_motion, inject_noise, project_2d,
+                   random_motion_spec, read_sequence, write_sequence)
 from .hga import (HgaParams, aggregate_hybrid, fuse_update, hga_forward,
-                  hybrid_cross_attention, merge_heads, npsc, project_ab,
-                  split_heads)
+                  hybrid_cross_attention, npsc, project_ab)
 from .network import (EncoderParams, ModelConfig, PoseLifter, embed_input,
                       encoder_forward, regression_head,
                       spatial_block_forward, temporal_block_forward,

@@ -101,8 +101,9 @@ def cmd_eval(args) -> int:
 def _read_trajectories(path) -> tuple:
     """CSV of one column per trajectory; optional non-numeric header.
 
-    A non-numeric value or a row of a different width than the first
-    raises DataError naming its line."""
+    A non-numeric or non-finite value or a row of a different width than
+    the first raises DataError naming its line, as does a file with no
+    data rows."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [(number, ln.strip()) for number, ln in enumerate(f, 1) if ln.strip()]
     if not lines:
@@ -118,9 +119,13 @@ def _read_trajectories(path) -> tuple:
             rows.append([float(v) for v in line.split(",")])
         except ValueError:
             raise DataError(f"{path}: line {number}: non-numeric value in {line!r}") from None
+        if not np.isfinite(rows[-1]).all():
+            raise DataError(f"{path}: line {number}: non-finite value in {line!r}")
         if len(rows[-1]) != len(rows[0]):
             raise DataError(f"{path}: line {number}: {len(rows[-1])} columns, "
                             f"expected {len(rows[0])}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=np.float64)
 
 

@@ -7,8 +7,8 @@ an optional sinusoidal rotation.  A pinhole camera turns 3D millimeter
 poses into image-normalized 2D keypoints in [-1, 1].
 
 Sequence files use the ``PSEQ1`` format: magic, u32 frames/joints/channels,
-f64 fps, then the float32 little-endian payload in (frame, joint, channel)
-order.
+f64 fps (finite, above 0), then the float32 little-endian payload in
+(frame, joint, channel) order and nothing after it.
 """
 
 from __future__ import annotations
@@ -23,13 +23,9 @@ from .errors import (ConfigError, DataError, FormatError, ProjectionError,
 from .skeleton import SkeletonGraph, human36m_skeleton
 
 
-def _infer_units(channels: int) -> str:
-    return {2: "normalized", 3: "mm", 5: "mixed"}[channels]
-
-
 @dataclass
 class PoseSequence:
-    """T x N x C keypoint array plus frame rate and unit metadata.
+    """T x N x C keypoint array plus its frame rate, finite and above 0.
 
     Channels: 2 = normalized image coordinates, 3 = millimeter 3D,
     5 = 2D and 3D concatenated (u, v, x, y, z).
@@ -37,7 +33,6 @@ class PoseSequence:
 
     values: np.ndarray
     fps: float = 50.0
-    units: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -45,8 +40,8 @@ class PoseSequence:
             raise ShapeError(f"pose sequence must be (T, N, C) with C in {{2,3,5}}, got {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise DataError("pose sequence contains non-finite values")
-        if self.units is None:
-            self.units = _infer_units(self.values.shape[2])
+        if not (np.isfinite(self.fps) and self.fps > 0):
+            raise DataError(f"pose sequence fps must be finite and > 0, got {self.fps}")
 
     @property
     def frames(self) -> int:
@@ -209,7 +204,7 @@ def generate_motion(skeleton: SkeletonGraph, frames: int, fps: float = 50.0,
         p = parents[j]
         positions[:, j] = positions[:, p] + np.einsum("tab,b->ta", global_rot[:, p], offsets[j])
         global_rot[:, j] = global_rot[:, p] @ rotations[:, j]
-    return PoseSequence(values=positions, fps=fps, units="mm")
+    return PoseSequence(values=positions, fps=fps)
 
 
 # -- camera --------------------------------------------------------------------
@@ -238,17 +233,7 @@ def project_2d(seq3d: PoseSequence, camera: Camera | None = None) -> PoseSequenc
     u = camera.fx * xyz[..., 0] / z + camera.cx
     v = camera.fy * xyz[..., 1] / z + camera.cy
     norm = np.stack([2.0 * u / camera.width - 1.0, 2.0 * v / camera.height - 1.0], axis=-1)
-    return PoseSequence(values=norm, fps=seq3d.fps, units="normalized")
-
-
-def unproject_2d(seq2d: PoseSequence, camera: Camera, depths: np.ndarray) -> np.ndarray:
-    """Invert the projection at known per-joint depths (mm)."""
-    uv = seq2d.values
-    u = (uv[..., 0] + 1.0) * camera.width / 2.0
-    v = (uv[..., 1] + 1.0) * camera.height / 2.0
-    x = (u - camera.cx) * depths / camera.fx
-    y = (v - camera.cy) * depths / camera.fy
-    return np.stack([x, y, depths], axis=-1)
+    return PoseSequence(values=norm, fps=seq3d.fps)
 
 
 # -- group-wise noise ------------------------------------------------------------
@@ -271,11 +256,14 @@ class NoiseConfig:
 
     groups: tuple = H36M_NOISE_GROUPS
     stds: tuple = DEFAULT_NOISE_STDS
-    seed: int | None = None
 
     def __post_init__(self):
-        self.groups = tuple(tuple(g) for g in self.groups)
-        self.stds = tuple(self.stds)
+        try:
+            self.groups = tuple(tuple(g) for g in self.groups)
+            self.stds = tuple(self.stds)
+        except TypeError:
+            raise ConfigError("noise groups must be a list of joint lists and stds "
+                              "a list of numbers") from None
         if len(self.groups) != len(self.stds):
             raise ConfigError(f"{len(self.groups)} groups vs {len(self.stds)} stds")
         for s in self.stds:
@@ -298,43 +286,19 @@ class NoiseConfig:
         return std
 
 
-def inject_noise(seq3d, cfg: NoiseConfig, rng: np.random.Generator | None = None):
-    """Add i.i.d. zero-mean Gaussian noise per coordinate, group-wise std.
+def inject_noise(seq3d, cfg: NoiseConfig, rng: np.random.Generator):
+    """Add i.i.d. zero-mean Gaussian noise per coordinate, group-wise std,
+    drawn from `rng`.
 
     Accepts a PoseSequence or a (..., N, 3) array and returns the same
     kind; the input is never modified.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if isinstance(seq3d, PoseSequence):
-        noisy = inject_noise(seq3d.values, cfg, rng)
-        return PoseSequence(values=noisy, fps=seq3d.fps, units=seq3d.units)
+        return PoseSequence(values=inject_noise(seq3d.values, cfg, rng), fps=seq3d.fps)
     values = np.asarray(seq3d, dtype=np.float64)
     std = cfg.per_joint_std(values.shape[-2])
     noise = rng.normal(size=values.shape) * std[:, None]
     return values + noise
-
-
-# -- channel packing ----------------------------------------------------------
-
-
-def concat_2d3d(seq2d: PoseSequence, seq3d: PoseSequence) -> PoseSequence:
-    """Stack 2D and 3D channels as (u, v, x, y, z)."""
-    if seq2d.values.shape[:2] != seq3d.values.shape[:2]:
-        raise ShapeError(f"2D {seq2d.values.shape} vs 3D {seq3d.values.shape}")
-    if seq2d.channels != 2 or seq3d.channels != 3:
-        raise ShapeError("concat expects a 2-channel and a 3-channel sequence")
-    values = np.concatenate([seq2d.values, seq3d.values], axis=-1)
-    return PoseSequence(values=values, fps=seq2d.fps, units="mixed")
-
-
-def split_2d3d(seq: PoseSequence) -> tuple:
-    """Inverse of concat_2d3d."""
-    if seq.channels != 5:
-        raise ShapeError(f"expected 5 channels, got {seq.channels}")
-    two = PoseSequence(values=seq.values[..., :2].copy(), fps=seq.fps, units="normalized")
-    three = PoseSequence(values=seq.values[..., 2:].copy(), fps=seq.fps, units="mm")
-    return two, three
 
 
 # -- file I/O -------------------------------------------------------------------
@@ -369,6 +333,8 @@ def read_sequence(path) -> PoseSequence:
     expected = header_end + 4 * t * n * c
     if len(blob) < expected:
         raise TruncatedFileError(f"{path}: payload truncated ({len(blob)} of {expected} bytes)")
+    if len(blob) > expected:
+        raise FormatError(f"{path}: {len(blob) - expected} bytes after the payload")
     values = np.frombuffer(blob[header_end:expected], dtype="<f4").astype(np.float64)
     return PoseSequence(values=values.reshape(t, n, c), fps=fps)
 

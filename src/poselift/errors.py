@@ -27,7 +27,7 @@ class DataError(PoseLiftError):
 
 
 class FormatError(DataError):
-    """File does not start with the expected magic bytes."""
+    """File does not follow its format: wrong magic bytes or extra bytes."""
 
 
 class TruncatedFileError(DataError):

@@ -2,10 +2,10 @@
 
 Each joint coordinate traces a length-T trajectory; transforming those
 trajectories into the frequency domain lets a loss compare predicted and
-reference motion spectrum-by-spectrum instead of frame-by-frame.  Two
-flavours are provided: the per-frequency 3-vector form (the useful one)
-and the per-spatial-axis whole-spectrum form (kept as an ablation
-baseline), plus truncation/down-weighting of high-frequency terms.
+reference motion spectrum-by-spectrum instead of frame-by-frame.  The
+training loss is the per-frequency 3-vector form, with optional
+truncation/down-weighting of high-frequency terms; the per-spatial-axis
+whole-spectrum form is a standalone ablation baseline.
 """
 
 from __future__ import annotations
@@ -62,23 +62,18 @@ def dct_inverse(coeffs: np.ndarray, basis: np.ndarray | None = None) -> np.ndarr
 
 @dataclass
 class FreqLossConfig:
-    """Options for the frequency-domain loss.
+    """Options for the per-frequency 3-vector loss.
 
-    mode: "vector" compares per-frequency 3-vectors; "spatial_axis"
-    compares whole spectra per coordinate axis.  truncation: "all",
-    "top" (keep the `keep` lowest frequencies), or "low_weighted"
-    (scale terms above `keep` by `down_weight`).
+    truncation: "all", "top" (keep the `keep` lowest frequencies), or
+    "low_weighted" (scale terms above `keep` by `down_weight`).
     """
 
-    mode: str = "vector"
     truncation: str = "all"
     keep: int | None = None
     down_weight: float = 1.0
     joint_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("vector", "spatial_axis"):
-            raise ConfigError(f"unknown frequency loss mode {self.mode!r}")
         if self.truncation not in ("all", "top", "low_weighted"):
             raise ConfigError(f"unknown truncation {self.truncation!r}")
         if self.truncation != "all" and (self.keep is None or self.keep < 1):
@@ -147,8 +142,6 @@ def freq_loss(y_hat, y, cfg: FreqLossConfig | None = None) -> Tensor:
     averaged over any leading batch axes.
     """
     cfg = cfg or FreqLossConfig()
-    if cfg.mode != "vector":
-        raise ConfigError("freq_loss computes the vector mode; see freq_loss_spatial_axis")
     y_hat, y = as_tensor(y_hat), as_tensor(y)
     _check_pose_shapes(y_hat.data, y.data)
     frames, joints = y_hat.data.shape[-3], y_hat.data.shape[-2]

@@ -67,16 +67,6 @@ def project_ab(x_in, params: HgaParams) -> tuple:
     return linear(x_in, params.w_a), linear(x_in, params.w_b)
 
 
-def split_heads(x, heads: int) -> list:
-    """Contiguous channel chunks; concatenating them restores the input."""
-    x = as_tensor(x)
-    channels = x.data.shape[-1]
-    if channels % heads:
-        raise ConfigError(f"channels {channels} not divisible by {heads} heads")
-    sub = channels // heads
-    return [x[..., i * sub : (i + 1) * sub] for i in range(heads)]
-
-
 def aggregate_hybrid(x_b_h, adj_total) -> Tensor:
     """Mix joint features through the combined adjacency, per frame."""
     adj_total = as_tensor(adj_total)
@@ -108,16 +98,8 @@ def fuse_update(x_a_h, x_hyb_att, x_joint_h, w_upd) -> Tensor:
     return linear(cat([x_a_h, x_hyb_att, x_joint_h], axis=-1), w_upd)
 
 
-def merge_heads(parts: list, w_merge) -> Tensor:
-    """Concatenate subspaces back to full width and mix linearly."""
-    shapes = {p.data.shape for p in map(as_tensor, parts)}
-    if len(shapes) != 1:
-        raise ShapeError(f"inconsistent subspace shapes: {sorted(shapes)}")
-    return linear(cat(list(parts), axis=-1), w_merge)
-
-
 def stack_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., N, C) -> (..., h, N, C/h); channel grouping matches split_heads."""
+    """(..., N, C) -> (..., h, N, C/h); head i holds channels [i*C/h, (i+1)*C/h)."""
     shape = x.data.shape
     sub = shape[-1] // heads
     return x.reshape(shape[:-1] + (heads, sub)).swapaxes(-3, -2)
@@ -136,7 +118,7 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
     similarity, fuse, merge, BN, GELU, residual onto the normalized input.
 
     Subspaces are processed as one stacked axis; the result matches
-    running the per-head operations above on each split_heads chunk.
+    running the per-head operations above on each contiguous channel chunk.
     """
     x = as_tensor(x)
     if x.data.shape[-1] != params.channels or x.data.shape[-2] != params.joints:

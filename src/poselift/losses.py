@@ -8,13 +8,12 @@ participate in differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .frequency import (FreqLossConfig, _check_pose_shapes, _joint_weights, freq_loss,
-                        freq_loss_spatial_axis)
+from .frequency import FreqLossConfig, _check_pose_shapes, _joint_weights, freq_loss
 from .numerics import Tensor, as_tensor, l2norm_last
 
 
@@ -37,22 +36,6 @@ class LossWeights:
             if (w < 0).any() or not np.isfinite(w).all() or not (w > 0).any():
                 raise ConfigError("joint weights must be finite, non-negative, not all zero")
             self.joint_weights = w
-
-
-def grouped_joint_weights(groups, values=(1.0, 1.5, 2.5, 4.0)) -> np.ndarray:
-    """Expand per-group weights to a per-joint vector.
-
-    The (1.0, 1.5, 2.5, 4.0) default mirrors the common inner-to-outer
-    weighting convention; it is a convenience preset, not a reported set.
-    """
-    if len(groups) != len(values):
-        raise ConfigError(f"{len(groups)} groups vs {len(values)} weights")
-    n = sum(len(g) for g in groups)
-    w = np.zeros(n, dtype=np.float64)
-    for idx_group, value in zip(groups, values):
-        for j in idx_group:
-            w[j] = value
-    return w
 
 
 def _prep(y_hat, y):
@@ -144,11 +127,6 @@ def total_loss(y_hat, y, weights: LossWeights, freq_cfg: FreqLossConfig | None =
     pos = wmpjpe(y_hat, y, w_n)
     temp = tc_loss(y_hat, w_n)
     vel = mpjve_loss(y_hat, y)
-    if freq_cfg is None:
-        freq_cfg = FreqLossConfig(joint_weights=w_n)
-    if freq_cfg.mode == "vector":
-        freq = freq_loss(y_hat, y, freq_cfg)
-    else:
-        freq = freq_loss_spatial_axis(y_hat, y, freq_cfg.joint_weights)
+    freq = freq_loss(y_hat, y, freq_cfg or FreqLossConfig(joint_weights=w_n))
     total = pos + weights.lambda_t * temp + weights.lambda_m * vel + weights.lambda_f * freq
     return LossBreakdown(total=total, position=pos, temporal=temp, velocity=vel, frequency=freq)

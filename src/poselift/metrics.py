@@ -64,18 +64,6 @@ def _align_frames(source: np.ndarray, target: np.ndarray, allow_scale: bool):
     return aligned, degenerate
 
 
-def similarity_align(source: np.ndarray, target: np.ndarray, allow_scale: bool = True):
-    """Best rotation (+ optional uniform scale) + translation of one point set
-    onto another in the least-squares sense.
-
-    Returns (aligned_source, degenerate) where `degenerate` reports a
-    collapsed point set for which only the translation was applied.
-    Reflections are corrected to proper rotations.
-    """
-    aligned, degenerate = _align_frames(source[None], target[None], allow_scale)
-    return aligned[0], bool(degenerate[0])
-
-
 def p_mpjpe(y_hat, y, allow_scale: bool = True, return_degenerate: bool = False):
     """Position error after per-frame Procrustes alignment (protocol 2).
 

@@ -12,13 +12,12 @@ is the same network with 2-channel input and a deeper stack; its noised
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, ShapeError, config_from_dict
+from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward, stack_heads, unstack_heads
 from .numerics import (Module, Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
                        linear, no_grad, scaled_dot_attention, uniform_init)
@@ -49,7 +48,6 @@ class ModelConfig:
     lambda_m: float = 1.0
     lambda_f: float = 0.1
     joint_weights: tuple | None = None
-    use_ijr: bool = False
 
     def __post_init__(self):
         if self.channels_in not in (2, 5):
@@ -71,23 +69,10 @@ class ModelConfig:
                 raise ConfigError(f"embed_dim {self.embed_dim} not divisible by {name}={heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0,1), got {self.dropout}")
-        if self.use_ijr:
-            raise ConfigError("the intra-joint refinement ablation is not implemented")
         if self.joint_weights is not None:
             self.joint_weights = tuple(float(w) for w in self.joint_weights)
             if len(self.joint_weights) != self.joints:
                 raise ConfigError(f"{len(self.joint_weights)} joint weights for {self.joints} joints")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        return config_from_dict(cls, doc, "model")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls.from_dict(json.loads(text))
 
 
 class EncoderParams(Module):
@@ -228,8 +213,6 @@ class PoseLifter(Module):
             e = temporal_block_forward(e, tb, training, rng, drop)
         return regression_head(e, self.w_head, self.b_head)
 
-    __call__ = forward
-
 
 def two_stage_forward(x2d, preliminary: PoseLifter, main: PoseLifter,
                       noise_cfg: data_mod.NoiseConfig | None = None,
@@ -239,7 +222,8 @@ def two_stage_forward(x2d, preliminary: PoseLifter, main: PoseLifter,
 
     The preliminary network runs detached (no gradient flows back into
     it); with no noise config or all-zero stds the output is a
-    deterministic function of the 2D input.
+    deterministic function of the 2D input.  A noise config needs `rng`,
+    which draws the noise.
     """
     if preliminary.config.channels_in != 2:
         raise ConfigError("first-stage model must take 2 channels")

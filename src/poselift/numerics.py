@@ -13,12 +13,13 @@ differences, eps 1e-5) to better than 1e-4 relative error.
 
 Also houses the ``Module`` base that finds a model's parameters and
 buffers, and the checkpoint format: ``HGFW1`` magic followed by
-per-entry records (u32 name length, name bytes, u32 rank, u32 dims,
+per-entry records (u32 name length, UTF-8 name bytes, u32 rank, u32 dims,
 little-endian f32 payload).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -713,15 +714,11 @@ def grad_check(fn, inputs, eps: float = 1e-5) -> float:
 CHECKPOINT_MAGIC = b"HGFW1"
 
 
-def save_checkpoint(params, path) -> None:
-    """Write named parameters; accepts Parameters or a name->array mapping."""
-    if isinstance(params, dict):
-        items = list(params.items())
-    else:
-        items = [(p.name, p.data) for p in params]
+def save_checkpoint(state: dict, path) -> None:
+    """Write a name -> array mapping (a ``Module.state_dict``)."""
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        for name, value in items:
+        for name, value in state.items():
             raw = name.encode("utf-8")
             arr = np.ascontiguousarray(value, dtype="<f4")
             f.write(struct.pack("<I", len(raw)))
@@ -732,7 +729,11 @@ def save_checkpoint(params, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as a name -> float64 ndarray mapping."""
+    """Read a checkpoint back as a name -> float64 ndarray mapping.
+
+    A malformed file raises a DataError: FormatError for a bad magic or
+    name, TruncatedFileError when an entry needs more bytes than remain.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -750,11 +751,13 @@ def load_checkpoint(path) -> dict:
 
     while pos < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry name at byte {pos - name_len} is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(4 * count)
+        payload = take(4 * math.prod(dims))
         if name in out:
             raise DataError(f"{path}: duplicate parameter {name!r}")
         out[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)

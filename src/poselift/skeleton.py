@@ -133,6 +133,20 @@ def symmetric_matrix(graph: SkeletonGraph) -> np.ndarray:
     return sym
 
 
+def _hybrid_weights(hop_count: int, hop_weights, sym_weight) -> tuple:
+    """Checked (hop_weights, sym_weight) as floats; hop weights default to
+    ones and the symmetric weight to half the last hop weight."""
+    if hop_count < 1:
+        raise ConfigError(f"hop_count must be >= 1, got {hop_count}")
+    hop_weights = tuple(float(w) for w in ([1.0] * hop_count if hop_weights is None else hop_weights))
+    if len(hop_weights) != hop_count:
+        raise ConfigError(f"expected {hop_count} hop weights, got {len(hop_weights)}")
+    for w in hop_weights:
+        if not 0.0 < w <= 1.0:
+            raise ConfigError(f"hop weights must lie in (0,1], got {w}")
+    return hop_weights, hop_weights[-1] / 2.0 if sym_weight is None else float(sym_weight)
+
+
 def hybrid_skeleton_matrix(graph: SkeletonGraph, hop_count: int, hop_weights,
                            sym_weight: float | None = None) -> np.ndarray:
     """Weighted sum of k-hop adjacencies plus the symmetric-pair matrix.
@@ -141,16 +155,7 @@ def hybrid_skeleton_matrix(graph: SkeletonGraph, hop_count: int, hop_weights,
     the last hop weight.  The diagonal stays zero: hop 0 contributes
     nothing by construction.
     """
-    if hop_count < 1:
-        raise ConfigError(f"hop_count must be >= 1, got {hop_count}")
-    hop_weights = [float(w) for w in hop_weights]
-    if len(hop_weights) != hop_count:
-        raise ConfigError(f"expected {hop_count} hop weights, got {len(hop_weights)}")
-    for w in hop_weights:
-        if not 0.0 < w <= 1.0:
-            raise ConfigError(f"hop weights must lie in (0,1], got {w}")
-    if sym_weight is None:
-        sym_weight = hop_weights[-1] / 2.0
+    hop_weights, sym_weight = _hybrid_weights(hop_count, hop_weights, sym_weight)
     hops = shortest_path_hops(graph)
     out = sym_weight * symmetric_matrix(graph)
     for k in range(1, hop_count + 1):
@@ -173,13 +178,9 @@ class HybridAdjacency:
 
 def build_hybrid_adjacency(graph: SkeletonGraph, hop_count: int = 2,
                            hop_weights=None, sym_weight: float | None = None) -> HybridAdjacency:
-    if hop_weights is None:
-        hop_weights = [1.0] * hop_count
-    matrix = hybrid_skeleton_matrix(graph, hop_count, hop_weights, sym_weight)
-    if sym_weight is None:
-        sym_weight = float(hop_weights[-1]) / 2.0
-    return HybridAdjacency(skeletal=matrix, hop_weights=tuple(float(w) for w in hop_weights),
-                           sym_weight=float(sym_weight))
+    hop_weights, sym_weight = _hybrid_weights(hop_count, hop_weights, sym_weight)
+    return HybridAdjacency(skeletal=hybrid_skeleton_matrix(graph, hop_count, hop_weights, sym_weight),
+                           hop_weights=hop_weights, sym_weight=sym_weight)
 
 
 # -- the 17-joint preset -------------------------------------------------------

@@ -91,8 +91,11 @@ class TrainConfig:
         doc = dict(doc)
         for name, kind in (("model", ModelConfig), ("preliminary_model", ModelConfig),
                            ("noise", data_mod.NoiseConfig)):
-            if isinstance(doc.get(name), dict):
-                doc[name] = config_from_dict(kind, doc[name], name)
+            if name not in doc or (doc[name] is None and name != "model"):
+                continue
+            if not isinstance(doc[name], dict):
+                raise ConfigError(f"{name} must be a JSON object, got {type(doc[name]).__name__}")
+            doc[name] = config_from_dict(kind, doc[name], name)
         return config_from_dict(cls, doc, "train")
 
     @classmethod
@@ -108,24 +111,11 @@ class TrainConfig:
 # -- optimizer -----------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """First/second moment estimates and the shared step counter."""
-
-    m: list
-    v: list
-    t: int = 0
-
-
-def init_adam_state(params) -> AdamState:
-    return AdamState(m=[np.zeros_like(p.data) for p in params],
-                     v=[np.zeros_like(p.data) for p in params])
-
-
-def adamw_step(params, grads, state: AdamState, lr: float,
+def adamw_step(params, grads, state: AdamW, lr: float,
                betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
+    `state` holds the moment lists ``m``, ``v`` and the step count ``t``.
     Weight decay multiplies the parameter directly (1 - lr*wd); the
     gradient only feeds the bias-corrected moment estimates.  Any
     non-finite gradient rejects the whole step.
@@ -151,7 +141,8 @@ def adamw_step(params, grads, state: AdamState, lr: float,
 
 
 class AdamW:
-    """Stateful wrapper around ``adamw_step`` for a fixed parameter list."""
+    """``adamw_step`` over a fixed parameter list, holding its own moment
+    estimates ``m``, ``v`` and step count ``t``."""
 
     def __init__(self, params, lr: float = 1e-4, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
@@ -160,11 +151,13 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.state = init_adam_state(self.params)
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self, lr: float | None = None) -> None:
         grads = [p.grad for p in self.params]
-        adamw_step(self.params, grads, self.state, self.lr if lr is None else lr,
+        adamw_step(self.params, grads, self, self.lr if lr is None else lr,
                    self.betas, self.eps, self.weight_decay)
 
 
@@ -264,7 +257,7 @@ def _scored_pairs(model: PoseLifter, preliminary: PoseLifter | None, x2d_all: np
                   y_all: np.ndarray, indices, cfg: TrainConfig, root_index: int):
     """Yield (pred, ref) per sequence in `indices`: the clean eval-mode
     prediction and its target, float64 metres, both root-relative when
-    cfg.root_center is set."""
+    cfg.root_center is set.  A non-finite prediction raises DivergenceError."""
     for i in indices:
         with no_grad():
             if preliminary is not None:
@@ -272,6 +265,8 @@ def _scored_pairs(model: PoseLifter, preliminary: PoseLifter | None, x2d_all: np
             else:
                 out = model.forward(x2d_all[i])
         pred, ref = out.data.astype(np.float64), y_all[i]
+        if not np.isfinite(pred).all():
+            raise DivergenceError(f"non-finite prediction for sequence {i}")
         if cfg.root_center:
             pred, ref = root_relative(pred, root_index), root_relative(ref, root_index)
         yield pred, ref

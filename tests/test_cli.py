@@ -272,6 +272,12 @@ MALFORMED_INPUTS = {
                      "eval_every"),
     "unknown noise key": (lambda p: ["train", "--config", _config_doc(
         p, noise={**asdict(pl.NoiseConfig()), "sedd": 1})], 2, "sedd"),
+    "noise seed of older configs": (lambda p: ["train", "--config", _config_doc(
+        p, noise={**asdict(pl.NoiseConfig()), "seed": 3})], 2, "seed"),
+    "model not an object": (lambda p: ["train", "--config", _config_doc(p, model=5)], 2,
+                            "model must be a JSON object"),
+    "noise groups not a list": (lambda p: ["train", "--config", _config_doc(
+        p, noise={"groups": 5})], 2, "noise groups"),
     "malformed config JSON": (lambda p: ["train", "--config", _written(p, "c.json", "{")], 2,
                               "malformed JSON"),
     "config not an object": (lambda p: ["train", "--config", _written(p, "c.json", "[1]")], 2,
@@ -281,6 +287,10 @@ MALFORMED_INPUTS = {
                    "line 3"),
     "non-numeric CSV": (lambda p: ["smooth", "--keep", 1, "--in",
                                    _written(p, "t.csv", "1,2\n3,x\n")], 3, "line 2"),
+    "non-finite CSV": (lambda p: ["dct", "--in", _written(p, "t.csv", "a,b\n1,2\n3,nan\n")], 3,
+                       "line 3"),
+    "header-only CSV": (lambda p: ["dct", "--in", _written(p, "t.csv", "a,b\n")], 3,
+                        "no data rows"),
     "skeleton without joints": (lambda p: ["inspect-adjacency", "--skeleton",
                                            _written(p, "sk.json", '{"edges": []}')], 2, "joints"),
     "malformed skeleton JSON": (lambda p: ["gen-data", "--out", p / "g", "--skeleton",

@@ -1,0 +1,133 @@
+"""Seeded corpus of damaged binary files: ``.pseq`` pose sequences and
+``HGFW1`` checkpoints, each truncated, with a byte flipped, or extended.
+
+Reading a mutant (for a checkpoint: loading it into its model) either
+succeeds or raises a PoseLiftError subclass, and the command that reads
+it (``export-trajectory``, ``eval``) exits 2 or 3 with a one-line message
+when the reader rejects it, 0 when it does not, or 4 when a checkpoint
+that loads overflows the forward pass (a numeric divergence).
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+import poselift as pl
+from poselift.cli import main
+from poselift.errors import PoseLiftError
+from poselift.network import ModelConfig
+from poselift.numerics import load_checkpoint
+from poselift.training import TrainConfig
+
+MUTANTS = 90  # per format: a third each truncated, flipped and extended
+
+
+def mutants(blob: bytes, seed: int) -> list:
+    """(kind, bytes) copies of `blob`, drawn from numpy's seeded generator."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(MUTANTS):
+        kind = ("truncate", "flip", "extend")[i % 3]
+        if kind == "truncate":
+            out.append((kind, blob[: int(rng.integers(0, len(blob)))]))
+        elif kind == "flip":
+            flipped = bytearray(blob)
+            flipped[int(rng.integers(0, len(blob)))] ^= int(rng.integers(1, 256))
+            out.append((kind, bytes(flipped)))
+        else:
+            tail = rng.integers(0, 256, size=int(rng.integers(1, 16)), dtype=np.uint8)
+            out.append((kind, blob + tail.tobytes()))
+    return out
+
+
+def check_mutants(capsys, blob, seed, path, read, argv):
+    """Write each mutant of `blob` to `path`; `read` may only raise a
+    PoseLiftError, and `argv` must exit 2 or 3 with one line exactly when
+    it does, else 0 (or 4 for a numeric divergence).  Returns how many
+    mutants were rejected."""
+    rejected = 0
+    for index, (kind, mutant) in enumerate(mutants(blob, seed)):
+        path.write_bytes(mutant)
+        try:
+            read(path)
+            ok = True
+        except PoseLiftError:
+            ok = False
+        capsys.readouterr()
+        code = main([str(a) for a in argv])
+        stderr = capsys.readouterr().err.strip().splitlines()
+        where = f"mutant {index} ({kind}): exit {code}, stderr {stderr}"
+        if ok:
+            assert code in (0, 4), where
+        else:
+            rejected += 1
+            assert code in (2, 3) and len(stderr) == 1, where
+    return rejected
+
+
+def test_pose_sequence_mutants(tmp_path, capsys):
+    seq = pl.generate_motion(pl.human36m_skeleton(), frames=2, seed=0)
+    source = tmp_path / "seq.pseq"
+    pl.write_sequence(seq, source)
+    path = tmp_path / "mutant.pseq"
+    rejected = check_mutants(capsys, source.read_bytes(), 0, path, pl.read_sequence,
+                             ["export-trajectory", "--in", path, "--out", tmp_path / "t.csv"])
+    assert rejected >= 2 * MUTANTS // 3  # every truncation and extension at least
+
+
+def eval_setup(tmp_path) -> tuple:
+    """(config path, model) of a tiny preliminary stage on a 2-sequence dataset."""
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data_dir), "--count", "2", "--frames", "3"]) == 0
+    model = ModelConfig(frames=3, channels_in=2, embed_dim=4, depth=1, ste_heads=2,
+                        tte_heads=2, hga_heads=2, dropout=0.0)
+    cfg = TrainConfig(data_dir=str(data_dir), out_dir=str(tmp_path / "run"), model=model)
+    config = tmp_path / "config.json"
+    config.write_text(cfg.to_json())
+    return config, pl.PoseLifter(model, pl.human36m_skeleton())
+
+
+def test_checkpoint_mutants(tmp_path, capsys):
+    config, lifter = eval_setup(tmp_path)
+    source = tmp_path / "model.ckpt"
+    pl.save_checkpoint(lifter.state_dict(), source)
+    path = tmp_path / "mutant.ckpt"
+    rejected = check_mutants(capsys, source.read_bytes(), 1, path,
+                             lambda p: lifter.load_state_dict(load_checkpoint(p)),
+                             ["eval", "--config", config, "--checkpoint", path])
+    assert rejected >= 2 * MUTANTS // 3
+
+
+def test_checkpoint_that_overflows_the_forward(tmp_path, capsys):
+    # finite weights, so the file loads, but the predictions are not finite
+    config, lifter = eval_setup(tmp_path)
+    state = lifter.state_dict()
+    state["head.w"] = np.full_like(state["head.w"], 3e38)
+    path = tmp_path / "huge.ckpt"
+    pl.save_checkpoint(state, path)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["eval", "--config", str(config), "--checkpoint", str(path)]) == 4
+    stderr = capsys.readouterr().err.strip().splitlines()
+    assert len(stderr) == 1 and "non-finite prediction" in stderr[0]
+
+
+@pytest.mark.parametrize("flip", [0x80, 0xC0])
+def test_non_utf8_checkpoint_name(tmp_path, flip):
+    path = tmp_path / "model.ckpt"
+    pl.save_checkpoint({"w": np.zeros(2)}, path)
+    blob = bytearray(path.read_bytes())
+    blob[9] ^= flip  # the first name byte, after the magic and the u32 length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(pl.FormatError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
+def test_entry_larger_than_the_file(tmp_path):
+    # 2 x (2^32 - 1) x (2^32 - 1) elements: more than int64 holds
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"HGFW1" + struct.pack("<I", 1) + b"w"
+                     + struct.pack("<4I", 3, 2, 2 ** 32 - 1, 2 ** 32 - 1) + b"\0" * 8)
+    with pytest.raises(pl.TruncatedFileError):
+        load_checkpoint(path)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from poselift.data import (Camera, JointWave, MotionSpec, NoiseConfig, PoseSequence,
-                           concat_2d3d, default_rest_offsets, export_csv,
-                           generate_motion, inject_noise, project_2d,
-                           random_motion_spec, read_sequence, split_2d3d,
-                           unproject_2d, write_sequence)
+                           default_rest_offsets, export_csv, generate_motion,
+                           inject_noise, project_2d, random_motion_spec,
+                           read_sequence, write_sequence)
 from poselift.errors import (ConfigError, DataError, FormatError, ProjectionError,
                              ShapeError, ShapeOverflowError, TruncatedFileError)
 from poselift.skeleton import human36m_skeleton
@@ -69,15 +68,15 @@ class TestGenerateMotion:
 class TestProjection:
     def test_optical_axis_maps_to_principal_point(self):
         cam = Camera(fx=1000, fy=1000, cx=500, cy=500, width=1000, height=1000)
-        seq = PoseSequence(values=np.array([[[0.0, 0.0, 4000.0]] * 17]), units="mm")
+        seq = PoseSequence(values=np.array([[[0.0, 0.0, 4000.0]] * 17]))
         out = project_2d(seq, cam)
         # principal point at the image center normalizes to the origin
         assert np.allclose(out.values, 0.0)
 
     def test_doubling_depth_halves_offset(self):
         cam = Camera()
-        near = PoseSequence(values=np.full((1, 17, 3), [300.0, 200.0, 2000.0]), units="mm")
-        far = PoseSequence(values=np.full((1, 17, 3), [300.0, 200.0, 4000.0]), units="mm")
+        near = PoseSequence(values=np.full((1, 17, 3), [300.0, 200.0, 2000.0]))
+        far = PoseSequence(values=np.full((1, 17, 3), [300.0, 200.0, 4000.0]))
         off_near = project_2d(near, cam).values
         off_far = project_2d(far, cam).values
         assert np.allclose(off_near, 2.0 * off_far, atol=1e-12)
@@ -86,7 +85,7 @@ class TestProjection:
         cam = Camera(fx=900.0, fy=1100.0, cx=480.0, cy=520.0, width=1000.0, height=1000.0)
         rng = np.random.default_rng(3)
         xyz = rng.uniform([-500, -500, 3000], [500, 500, 6000], size=(4, 17, 3))
-        out = project_2d(PoseSequence(values=xyz, units="mm"), cam).values
+        out = project_2d(PoseSequence(values=xyz), cam).values
         for t in range(4):
             for n in range(17):
                 x, y, z = xyz[t, n]
@@ -99,15 +98,7 @@ class TestProjection:
         xyz = np.full((3, 17, 3), [0.0, 0.0, 4000.0])
         xyz[1, 5, 2] = -10.0
         with pytest.raises(ProjectionError, match="frame 1"):
-            project_2d(PoseSequence(values=xyz, units="mm"))
-
-    def test_unproject_inverts_at_known_depth(self):
-        cam = Camera()
-        sk = human36m_skeleton()
-        seq = generate_motion(sk, frames=6, seed=4)
-        projected = project_2d(seq, cam)
-        recovered = unproject_2d(projected, cam, seq.values[..., 2])
-        assert np.abs(recovered - seq.values).max() < 1e-6
+            project_2d(PoseSequence(values=xyz))
 
 
 class TestNoise:
@@ -118,11 +109,11 @@ class TestNoise:
         assert np.array_equal(out, values)
 
     def test_input_untouched_and_seed_reproducible(self):
-        cfg = NoiseConfig(seed=7)
+        cfg = NoiseConfig()
         values = np.random.default_rng(6).normal(size=(8, 17, 3))
         copy = values.copy()
-        a = inject_noise(values, cfg)
-        b = inject_noise(values, cfg)
+        a = inject_noise(values, cfg, np.random.default_rng(7))
+        b = inject_noise(values, cfg, np.random.default_rng(7))
         assert np.array_equal(values, copy)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, values)
@@ -145,37 +136,17 @@ class TestNoise:
         with pytest.raises(ConfigError):
             cfg.validate_partition(5)
 
+    @pytest.mark.parametrize("fields", [{"groups": 5}, {"groups": (5, 6, 7, 8)},
+                                        {"stds": 0.1}])
+    def test_non_sequence_groups_or_stds_rejected(self, fields):
+        with pytest.raises(ConfigError, match="noise groups"):
+            NoiseConfig(**fields)
+
     def test_pose_sequence_round_trip(self):
-        seq = PoseSequence(values=np.zeros((4, 17, 3)), fps=25.0, units="mm")
-        out = inject_noise(seq, NoiseConfig(seed=1))
+        seq = PoseSequence(values=np.zeros((4, 17, 3)), fps=25.0)
+        out = inject_noise(seq, NoiseConfig(), np.random.default_rng(1))
         assert isinstance(out, PoseSequence)
         assert out.fps == 25.0
-
-
-class TestChannelPacking:
-    def test_concat_shapes_and_order(self):
-        rng = np.random.default_rng(9)
-        two = PoseSequence(values=rng.normal(size=(27, 17, 2)), units="normalized")
-        three = PoseSequence(values=rng.normal(size=(27, 17, 3)), units="mm")
-        merged = concat_2d3d(two, three)
-        assert merged.values.shape == (27, 17, 5)
-        # channel order (u, v, x, y, z)
-        assert np.array_equal(merged.values[..., :2], two.values)
-        assert np.array_equal(merged.values[..., 2:], three.values)
-
-    def test_split_round_trip(self):
-        rng = np.random.default_rng(10)
-        two = PoseSequence(values=rng.normal(size=(5, 17, 2)), units="normalized")
-        three = PoseSequence(values=rng.normal(size=(5, 17, 3)), units="mm")
-        back2, back3 = split_2d3d(concat_2d3d(two, three))
-        assert np.array_equal(back2.values, two.values)
-        assert np.array_equal(back3.values, three.values)
-
-    def test_frame_mismatch_rejected(self):
-        two = PoseSequence(values=np.zeros((5, 17, 2)))
-        three = PoseSequence(values=np.zeros((6, 17, 3)))
-        with pytest.raises(ShapeError):
-            concat_2d3d(two, three)
 
 
 class TestSequenceFiles:
@@ -206,6 +177,24 @@ class TestSequenceFiles:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(TruncatedFileError):
+            read_sequence(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "seq.pseq"
+        write_sequence(PoseSequence(values=np.ones((4, 17, 3))), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(FormatError, match="4 bytes after the payload"):
+            read_sequence(path)
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_bad_fps_in_file_rejected(self, tmp_path, fps):
+        import struct
+        path = tmp_path / "seq.pseq"
+        write_sequence(PoseSequence(values=np.ones((2, 3, 3))), path)
+        blob = bytearray(path.read_bytes())
+        blob[17:25] = struct.pack("<d", fps)  # after the magic and three u32 dims
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="fps"):
             read_sequence(path)
 
     def test_shape_overflow(self, tmp_path):
@@ -250,10 +239,10 @@ class TestPoseSequence:
         with pytest.raises(DataError):
             PoseSequence(values=values)
 
-    def test_unit_inference(self):
-        assert PoseSequence(values=np.zeros((1, 2, 2))).units == "normalized"
-        assert PoseSequence(values=np.zeros((1, 2, 3))).units == "mm"
-        assert PoseSequence(values=np.zeros((1, 2, 5))).units == "mixed"
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_rejects_bad_fps(self, fps):
+        with pytest.raises(DataError, match="fps"):
+            PoseSequence(values=np.zeros((2, 3, 3)), fps=fps)
 
     def test_random_spec_has_valid_axes(self):
         spec = random_motion_spec(human36m_skeleton(), np.random.default_rng(12))

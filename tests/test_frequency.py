@@ -201,8 +201,6 @@ class TestTruncation:
             FreqLossConfig(truncation="top")
         with pytest.raises(ConfigError):
             FreqLossConfig(down_weight=0.0)
-        with pytest.raises(ConfigError):
-            FreqLossConfig(mode="fourier")
 
 
 class TestTrajectorySpectrum:

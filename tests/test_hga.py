@@ -4,7 +4,7 @@ import pytest
 from poselift.errors import ConfigError, ShapeError
 from poselift.hga import (HgaParams, aggregate_hybrid, default_head_count,
                           fuse_update, hga_forward, hybrid_cross_attention,
-                          merge_heads, npsc, project_ab, split_heads)
+                          npsc, project_ab, stack_heads, unstack_heads)
 from poselift.numerics import Tensor, cat, grad_check, linear
 from poselift.skeleton import SkeletonGraph, build_hybrid_adjacency, human36m_skeleton
 
@@ -41,42 +41,45 @@ class TestProjectAb:
 
 
 class TestSplitMergeHeads:
+    """The stacked head split (stack_heads) and merge (unstack_heads, then
+    the w_merge product) that hga_forward and the encoders run."""
+
     def test_single_head_identity(self):
         x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4)))
-        parts = split_heads(x, 1)
-        assert len(parts) == 1 and np.array_equal(parts[0].data, x.data)
+        stacked = stack_heads(x, 1)
+        assert stacked.data.shape == (2, 1, 3, 4)
+        assert np.array_equal(stacked.data[:, 0], x.data)
 
     def test_contiguous_chunks(self):
         x = Tensor(np.arange(8.0).reshape(1, 2, 4))
-        parts = split_heads(x, 2)
-        assert parts[0].data[0, 0].tolist() == [0.0, 1.0]
-        assert parts[1].data[0, 0].tolist() == [2.0, 3.0]
+        stacked = stack_heads(x, 2)
+        assert stacked.data[0, 0, 0].tolist() == [0.0, 1.0]
+        assert stacked.data[0, 1, 0].tolist() == [2.0, 3.0]
 
     def test_round_trip_bit_exact(self):
         x = Tensor(np.random.default_rng(5).normal(size=(3, 5, 8)))
-        rebuilt = cat(split_heads(x, 4), axis=-1)
-        assert np.array_equal(rebuilt.data, x.data)
+        assert np.array_equal(unstack_heads(stack_heads(x, 4)).data, x.data)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
-            split_heads(Tensor(np.zeros((2, 3, 5))), 2)
+            HgaParams(3, 5, 2, np.random.default_rng(0))
 
     def test_merge_with_identity_selector(self):
         x = Tensor(np.random.default_rng(6).normal(size=(2, 3, 4)))
-        merged = merge_heads(split_heads(x, 2), Tensor(np.eye(4)))
+        merged = linear(unstack_heads(stack_heads(x, 2)), Tensor(np.eye(4)))
         assert np.allclose(merged.data, x.data, atol=1e-12)
 
     def test_merge_rejects_mismatched_parts(self):
+        parts = stack_heads(Tensor(np.zeros((2, 3, 4))), 2)
         with pytest.raises(ShapeError):
-            merge_heads([Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((2, 3, 3)))],
-                        Tensor(np.eye(5)))
+            linear(unstack_heads(parts), Tensor(np.eye(5)))
 
     def test_merge_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
-        parts = [Tensor(rng.normal(size=(2, 3, 2))) for _ in range(2)]
+        parts = [rng.normal(size=(2, 3, 2)) for _ in range(2)]
         w = rng.normal(size=(4, 4))
-        merged = merge_heads(parts, Tensor(w))
-        stacked = np.concatenate([p.data for p in parts], axis=-1)
+        merged = linear(unstack_heads(Tensor(np.stack(parts, axis=-3))), Tensor(w))
+        stacked = np.concatenate(parts, axis=-1)
         for t in range(2):
             assert np.allclose(merged.data[t], stacked[t] @ w, atol=1e-12)
 
@@ -210,12 +213,13 @@ class TestHgaForward:
         x_a, x_b = project_ab(x_in, params)
         adj_total = Tensor(adj) + params.learnable_adj
         fused = []
-        for a_h, b_h in zip(split_heads(x_a, 2), split_heads(x_b, 2)):
+        for h in range(2):
+            a_h, b_h = x_a[..., 2 * h : 2 * h + 2], x_b[..., 2 * h : 2 * h + 2]
             hyb = aggregate_hybrid(b_h, adj_total)
             att = hybrid_cross_attention(a_h, hyb, params)
             joint = npsc(a_h, b_h)
             fused.append(fuse_update(a_h, att, joint, params.w_upd))
-        merged = merge_heads(fused, params.w_merge)
+        merged = linear(cat(fused, axis=-1), params.w_merge)
         mean, var = params.bn_mean.copy(), params.bn_var.copy()
         slow = gelu(batch_norm(merged, params.bn_gamma, params.bn_beta, mean, var,
                                training=False)) + x_in

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from poselift.errors import ConfigError, ShapeError
-from poselift.frequency import FreqLossConfig
-from poselift.losses import (LossWeights, grouped_joint_weights, mpjve_loss,
-                             tc_loss, total_loss, wmpjpe)
+from poselift.losses import LossWeights, mpjve_loss, tc_loss, total_loss, wmpjpe
 from poselift.numerics import Tensor, grad_check
 
 
@@ -145,15 +143,6 @@ class TestTotalLoss:
         weights = LossWeights(lambda_t=0.1, lambda_m=1.0, lambda_f=0.1)
         assert grad_check(lambda t: total_loss(t, y, weights).total, [y_hat]) < 1e-4
 
-    def test_spatial_axis_mode_dispatch(self):
-        rng = np.random.default_rng(15)
-        y_hat, y = rng.normal(size=(2, 6, 5, 3))
-        weights = LossWeights(lambda_t=0.0, lambda_m=0.0, lambda_f=1.0)
-        cfg = FreqLossConfig(mode="spatial_axis")
-        from poselift.frequency import freq_loss_spatial_axis
-        b = total_loss(y_hat, y, weights, cfg)
-        assert abs(b.frequency.item() - freq_loss_spatial_axis(y_hat, y).item()) < 1e-12
-
 
 class TestLossWeights:
     def test_rejects_negative_lambda(self):
@@ -163,12 +152,3 @@ class TestLossWeights:
     def test_rejects_all_zero_joint_weights(self):
         with pytest.raises(ConfigError):
             LossWeights(joint_weights=np.zeros(5))
-
-    def test_grouped_weights(self):
-        groups = ((0, 1), (2,), (3,), (4, 5))
-        w = grouped_joint_weights(groups, (1.0, 1.5, 2.5, 4.0))
-        assert w.tolist() == [1.0, 1.0, 1.5, 2.5, 4.0, 4.0]
-
-    def test_grouped_weights_mismatch(self):
-        with pytest.raises(ConfigError):
-            grouped_joint_weights(((0,), (1,)), (1.0,))

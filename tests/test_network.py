@@ -11,6 +11,7 @@ from poselift.network import (EncoderParams, ModelConfig, PoseLifter, embed_inpu
                               two_stage_forward)
 from poselift.numerics import Parameter, Tensor, grad_check, linear
 from poselift.skeleton import SkeletonGraph, human36m_skeleton
+from poselift.training import TrainConfig
 
 
 def chain_skeleton(n=3):
@@ -56,18 +57,14 @@ class TestModelConfig:
         cfg = ModelConfig(hop_count=3)
         assert cfg.hop_weights == (1.0, 1.0, 1.0)
 
-    def test_ijr_flag_is_unimplemented(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(use_ijr=True)
-
     def test_json_round_trip(self):
         cfg = desk_config()
-        restored = ModelConfig.from_json(cfg.to_json())
-        assert restored == cfg
+        doc = json.loads(TrainConfig(stage="main", model=cfg).to_json())
+        assert TrainConfig.from_dict(doc).model == cfg
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict({"embed_dims": 64})
+        with pytest.raises(ConfigError, match="embed_dims"):
+            TrainConfig.from_dict({"model": {"embed_dims": 64}})
 
 
 class TestEmbedAndHead:
@@ -293,3 +290,7 @@ class TestTwoStage:
             two_stage_forward(np.zeros((3, 3, 2)), main, main)
         with pytest.raises(ConfigError):
             two_stage_forward(np.zeros((3, 3, 2)), pre, pre)
+        longer = PoseLifter(ModelConfig(frames=4, joints=3, channels_in=5, embed_dim=4, depth=1,
+                                        ste_heads=2, tte_heads=2, hga_heads=2), chain_skeleton())
+        with pytest.raises(ConfigError, match="disagree"):
+            two_stage_forward(np.zeros((3, 3, 2)), pre, longer)

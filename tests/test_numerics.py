@@ -303,7 +303,7 @@ class TestCheckpointFormat:
         params = [Parameter(rng.normal(size=(3, 4)).astype(np.float32), "a.w"),
                   Parameter(rng.normal(size=(5,)).astype(np.float32), "a.b")]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
+        save_checkpoint({p.name: p.data for p in params}, path)
         loaded = load_checkpoint(path)
         assert set(loaded) == {"a.w", "a.b"}
         for p in params:
