@@ -13,9 +13,8 @@ from .numerics import (Parameter, Tensor, batch_norm, cat,
                        dropout, gelu, grad_check, l2norm_last, layer_norm,
                        linear, load_checkpoint, no_grad, precision,
                        save_checkpoint, scaled_dot_attention, softmax_rows)
-from .frequency import (FreqLossConfig, apply_truncation, dct_forward,
-                        dct_inverse, dct_matrix, freq_loss,
-                        freq_loss_spatial_axis, trajectory_spectrum)
+from .frequency import (FreqLossConfig, dct_forward, dct_inverse, dct_matrix,
+                        freq_loss, freq_loss_spatial_axis, trajectory_spectrum)
 from .losses import (LossBreakdown, LossWeights, mpjve_loss, tc_loss, total_loss,
                      wmpjpe)
 from .metrics import (EvalReport, evaluate_sequences, mpjpe, mpjve, p_mpjpe,

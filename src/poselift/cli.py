@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, DataError, DivergenceError
-from .frequency import dct_forward, dct_inverse, dct_matrix
+from .frequency import dct_forward, dct_inverse
 from .skeleton import (build_hybrid_adjacency, human36m_skeleton, khop_adjacency,
                        load_skeleton, save_skeleton, shortest_path_hops, symmetric_matrix)
 from .training import TrainConfig, evaluate, train
@@ -144,10 +144,11 @@ def _write_trajectories(header, values: np.ndarray, out_path) -> None:
 def cmd_dct(args) -> int:
     header, values = _read_trajectories(args.infile)
     frames = args.frames or values.shape[0]
+    if frames < 1:
+        raise ConfigError(f"--T must be >= 1, got {frames}")
     if values.shape[0] < frames:
         raise DataError(f"{args.infile}: {values.shape[0]} rows but --T {frames}")
-    basis = dct_matrix(frames)
-    coeffs = dct_forward(values[:frames], basis)
+    coeffs = dct_forward(values[:frames])
     _write_trajectories(header, coeffs, args.out)
     return 0
 
@@ -157,10 +158,9 @@ def cmd_smooth(args) -> int:
     frames = values.shape[0]
     if args.keep < 1 or args.keep > frames:
         raise ConfigError(f"--keep must lie in [1, {frames}], got {args.keep}")
-    basis = dct_matrix(frames)
-    coeffs = dct_forward(values, basis)
+    coeffs = dct_forward(values)
     coeffs[args.keep :] = 0.0
-    _write_trajectories(header, dct_inverse(coeffs, basis), args.out)
+    _write_trajectories(header, dct_inverse(coeffs), args.out)
     return 0
 
 

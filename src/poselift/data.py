@@ -254,8 +254,8 @@ DEFAULT_NOISE_STDS = (0.002, 0.01, 0.1, 0.2)
 class NoiseConfig:
     """Four joint groups and the Gaussian std added to each (zero mean)."""
 
-    groups: tuple = H36M_NOISE_GROUPS
-    stds: tuple = DEFAULT_NOISE_STDS
+    groups: tuple[tuple[int, ...], ...] = H36M_NOISE_GROUPS
+    stds: tuple[float, ...] = DEFAULT_NOISE_STDS
 
     def __post_init__(self):
         try:

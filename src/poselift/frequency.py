@@ -5,7 +5,8 @@ trajectories into the frequency domain lets a loss compare predicted and
 reference motion spectrum-by-spectrum instead of frame-by-frame.  The
 training loss is the per-frequency 3-vector form, with optional
 truncation/down-weighting of high-frequency terms; the per-spatial-axis
-whole-spectrum form is a standalone ablation baseline.
+whole-spectrum form is a standalone ablation baseline.  Every training
+loss checks its input with `_pose_pair` and reduces with `_weighted_mean`.
 """
 
 from __future__ import annotations
@@ -20,44 +21,33 @@ from .numerics import Tensor, as_tensor, l2norm_last
 
 
 @lru_cache(maxsize=32)
-def _dct_matrix_cached(size: int) -> np.ndarray:
-    t = np.arange(1, size + 1, dtype=np.float64)
-    u = np.arange(1, size + 1, dtype=np.float64)
-    basis = np.cos(np.pi * np.outer(2.0 * t - 1.0, u - 1.0) / (2.0 * size)).T
+def dct_matrix(size: int) -> np.ndarray:
+    """T x T orthonormal DCT basis; row u is the u-th coefficient's vector.
+
+    Row 1 is the constant sqrt(1/T); rows 2..T carry sqrt(2/T) times
+    cos(pi (2t-1)(u-1) / 2T).  D @ D.T is the identity.  The result is
+    cached and read-only.
+    """
+    if size < 1:
+        raise ConfigError(f"basis size must be >= 1, got {size}")
+    t = np.arange(1, size + 1, dtype=np.float64)  # also the frequency index u
+    basis = np.cos(np.pi * np.outer(2.0 * t - 1.0, t - 1.0) / (2.0 * size)).T
     basis *= np.sqrt(2.0 / size)
     basis[0] = np.sqrt(1.0 / size)
     basis.setflags(write=False)
     return basis
 
-def dct_matrix(size: int) -> np.ndarray:
-    """T x T orthonormal DCT basis; row u is the u-th coefficient's vector.
 
-    Row 1 is the constant sqrt(1/T); rows 2..T carry sqrt(2/T) times
-    cos(pi (2t-1)(u-1) / 2T).  D @ D.T is the identity.
-    """
-    if size < 1:
-        raise ConfigError(f"basis size must be >= 1, got {size}")
-    return _dct_matrix_cached(int(size))
-
-
-def dct_forward(traj: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of a length-T trajectory (basis @ traj)."""
+def dct_forward(traj: np.ndarray) -> np.ndarray:
+    """Coefficients of a length-T trajectory, axis 0 = time (D @ traj)."""
     traj = np.asarray(traj, dtype=np.float64)
-    if basis is None:
-        basis = dct_matrix(traj.shape[0])
-    if traj.shape[0] != basis.shape[0]:
-        raise ShapeError(f"trajectory length {traj.shape[0]} != basis size {basis.shape[0]}")
-    return basis @ traj
+    return dct_matrix(traj.shape[0]) @ traj
 
 
-def dct_inverse(coeffs: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Trajectory from coefficients (basis.T @ coeffs)."""
+def dct_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Trajectory from coefficients, axis 0 = frequency (D.T @ coeffs)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if basis is None:
-        basis = dct_matrix(coeffs.shape[0])
-    if coeffs.shape[0] != basis.shape[0]:
-        raise ShapeError(f"coefficient length {coeffs.shape[0]} != basis size {basis.shape[0]}")
-    return basis.T @ coeffs
+    return dct_matrix(coeffs.shape[0]).T @ coeffs
 
 
 @dataclass
@@ -89,29 +79,18 @@ def truncation_weights(frames: int, cfg: FreqLossConfig) -> np.ndarray:
         return w
     if cfg.keep > frames:
         raise ConfigError(f"keep={cfg.keep} exceeds {frames} coefficients")
-    if cfg.truncation == "top":
-        w[cfg.keep:] = 0.0
-    else:
-        w[cfg.keep:] = cfg.down_weight
+    w[cfg.keep:] = 0.0 if cfg.truncation == "top" else cfg.down_weight
     return w
 
 
-def apply_truncation(coeff_error_terms, cfg: FreqLossConfig):
-    """Mask or down-weight per-frequency error terms, axis -2 = frequency.
-
-    `coeff_error_terms` is (..., T, N): one non-negative term per
-    frequency and joint.  Works on Tensors and plain arrays.
-    """
-    terms = as_tensor(coeff_error_terms)
-    w = truncation_weights(terms.data.shape[-2], cfg)
-    return terms * Tensor(w[:, None])
-
-
-def _check_pose_shapes(y_hat, y):
-    if y_hat.shape != y.shape:
-        raise ShapeError(f"prediction {y_hat.shape} vs reference {y.shape}")
-    if y_hat.ndim < 3 or y_hat.shape[-1] != 3:
-        raise ShapeError(f"expected (..., T, N, 3), got {y_hat.shape}")
+def _pose_pair(y_hat, y) -> tuple:
+    """(y_hat, y) as Tensors of one (..., T, N, 3) shape, else ShapeError."""
+    y_hat, y = as_tensor(y_hat), as_tensor(y)
+    if y_hat.data.shape != y.data.shape:
+        raise ShapeError(f"prediction {y_hat.data.shape} vs reference {y.data.shape}")
+    if y_hat.data.ndim < 3 or y_hat.data.shape[-1] != 3:
+        raise ShapeError(f"expected (..., T, N, 3), got {y_hat.data.shape}")
+    return y_hat, y
 
 
 def _joint_weights(joints: int, w) -> np.ndarray:
@@ -121,6 +100,15 @@ def _joint_weights(joints: int, w) -> np.ndarray:
     if w.shape != (joints,):
         raise ShapeError(f"joint weights {w.shape} for {joints} joints")
     return w
+
+
+def _weighted_mean(terms: Tensor, joint_weights: np.ndarray | None, denom: float) -> Tensor:
+    """(1 / denom) sum over the last two axes of `terms` (..., *, N), each
+    joint's terms scaled by `joint_weights` unless None, averaged over any
+    leading batch axes."""
+    if joint_weights is not None:
+        terms = terms * Tensor(joint_weights)
+    return (terms.sum(axis=(-2, -1)) * (1.0 / denom)).mean()
 
 
 def trajectory_spectrum(poses) -> Tensor:
@@ -142,17 +130,12 @@ def freq_loss(y_hat, y, cfg: FreqLossConfig | None = None) -> Tensor:
     averaged over any leading batch axes.
     """
     cfg = cfg or FreqLossConfig()
-    y_hat, y = as_tensor(y_hat), as_tensor(y)
-    _check_pose_shapes(y_hat.data, y.data)
+    y_hat, y = _pose_pair(y_hat, y)
     frames, joints = y_hat.data.shape[-3], y_hat.data.shape[-2]
-    w_n = _joint_weights(joints, cfg.joint_weights)
-    diff = trajectory_spectrum(y_hat) - trajectory_spectrum(y)
-    terms = l2norm_last(diff)                      # (..., T, N)
+    terms = l2norm_last(trajectory_spectrum(y_hat) - trajectory_spectrum(y))   # (..., T, N)
     if cfg.truncation != "all":
-        terms = apply_truncation(terms, cfg)
-    weighted = terms * Tensor(w_n)
-    per_seq = weighted.sum(axis=(-2, -1)) * (1.0 / (frames * joints))
-    return per_seq.mean()
+        terms = terms * Tensor(truncation_weights(frames, cfg)[:, None])
+    return _weighted_mean(terms, _joint_weights(joints, cfg.joint_weights), frames * joints)
 
 
 def freq_loss_spatial_axis(y_hat, y, joint_weights=None) -> Tensor:
@@ -161,13 +144,9 @@ def freq_loss_spatial_axis(y_hat, y, joint_weights=None) -> Tensor:
     (1 / 3N) sum_c sum_n W_n || F_hat_{n,c} - F_{n,c} ||_2 with the norm
     over all T coefficients of one axis's trajectory.
     """
-    y_hat, y = as_tensor(y_hat), as_tensor(y)
-    _check_pose_shapes(y_hat.data, y.data)
+    y_hat, y = _pose_pair(y_hat, y)
     joints = y_hat.data.shape[-2]
-    w_n = _joint_weights(joints, joint_weights)
     diff = trajectory_spectrum(y_hat) - trajectory_spectrum(y)
     # norm over the frequency axis: (..., T, N, 3) -> (..., 3, N, T) -> (..., 3, N)
     per_axis = l2norm_last(diff.swapaxes(-3, -1))
-    weighted = per_axis * Tensor(w_n)
-    per_seq = weighted.sum(axis=(-2, -1)) * (1.0 / (3.0 * joints))
-    return per_seq.mean()
+    return _weighted_mean(per_axis, _joint_weights(joints, joint_weights), 3.0 * joints)

@@ -8,13 +8,14 @@ participate in differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .frequency import FreqLossConfig, _check_pose_shapes, _joint_weights, freq_loss
-from .numerics import Tensor, as_tensor, l2norm_last
+from .errors import ConfigError
+from .frequency import (FreqLossConfig, _joint_weights, _pose_pair, _weighted_mean,
+                        freq_loss)
+from .numerics import Tensor, l2norm_last
 
 
 @dataclass
@@ -38,10 +39,12 @@ class LossWeights:
             self.joint_weights = w
 
 
-def _prep(y_hat, y):
-    y_hat, y = as_tensor(y_hat), as_tensor(y)
-    _check_pose_shapes(y_hat.data, y.data)
-    return y_hat, y
+def _motion(poses: Tensor) -> Tensor:
+    """Frame-to-frame displacement y_t - y_{t-1} of (..., T, N, 3) poses."""
+    if poses.data.shape[-3] < 2:
+        raise ConfigError(f"motion terms need at least 2 frames, got {poses.data.shape[-3]}")
+    lead = (slice(None),) * (poses.data.ndim - 3)
+    return poses[lead + (slice(1, None),)] - poses[lead + (slice(None, -1),)]
 
 
 def wmpjpe(y_hat, y, joint_weights=None) -> Tensor:
@@ -49,12 +52,10 @@ def wmpjpe(y_hat, y, joint_weights=None) -> Tensor:
 
     (1 / (T N)) sum_n W_n sum_t ||y_hat_{t,n} - y_{t,n}||_2.
     """
-    y_hat, y = _prep(y_hat, y)
+    y_hat, y = _pose_pair(y_hat, y)
     frames, joints = y_hat.data.shape[-3], y_hat.data.shape[-2]
-    w_n = _joint_weights(joints, joint_weights)
-    dist = l2norm_last(y_hat - y)                    # (..., T, N)
-    per_seq = (dist * Tensor(w_n)).sum(axis=(-2, -1)) * (1.0 / (frames * joints))
-    return per_seq.mean()
+    return _weighted_mean(l2norm_last(y_hat - y), _joint_weights(joints, joint_weights),
+                          frames * joints)
 
 
 def tc_loss(y_hat, joint_weights=None) -> Tensor:
@@ -63,18 +64,10 @@ def tc_loss(y_hat, joint_weights=None) -> Tensor:
     (1 / ((T-1) N)) sum_n W_n sum_{t>=2} ||y_hat_t - y_hat_{t-1}||_2.
     No reference enters: the term penalizes frame-to-frame displacement.
     """
-    y_hat = as_tensor(y_hat)
-    if y_hat.data.ndim < 3 or y_hat.data.shape[-1] != 3:
-        raise ShapeError(f"expected (..., T, N, 3), got {y_hat.data.shape}")
+    y_hat, _ = _pose_pair(y_hat, y_hat)
     frames, joints = y_hat.data.shape[-3], y_hat.data.shape[-2]
-    if frames < 2:
-        raise ConfigError("temporal-consistency loss needs at least 2 frames")
-    w_n = _joint_weights(joints, joint_weights)
-    sel_now = (slice(None),) * (y_hat.data.ndim - 3) + (slice(1, None),)
-    sel_prev = (slice(None),) * (y_hat.data.ndim - 3) + (slice(None, -1),)
-    step = l2norm_last(y_hat[sel_now] - y_hat[sel_prev])     # (..., T-1, N)
-    per_seq = (step * Tensor(w_n)).sum(axis=(-2, -1)) * (1.0 / ((frames - 1) * joints))
-    return per_seq.mean()
+    return _weighted_mean(l2norm_last(_motion(y_hat)), _joint_weights(joints, joint_weights),
+                          (frames - 1) * joints)
 
 
 def mpjve_loss(y_hat, y) -> Tensor:
@@ -84,17 +77,9 @@ def mpjve_loss(y_hat, y) -> Tensor:
     The denominator is T*N even though the sum has T-1 terms; the metric
     counterpart in `metrics` divides by (T-1)*N instead.
     """
-    y_hat, y = _prep(y_hat, y)
+    y_hat, y = _pose_pair(y_hat, y)
     frames, joints = y_hat.data.shape[-3], y_hat.data.shape[-2]
-    if frames < 2:
-        raise ConfigError("velocity loss needs at least 2 frames")
-    sel_now = (slice(None),) * (y_hat.data.ndim - 3) + (slice(1, None),)
-    sel_prev = (slice(None),) * (y_hat.data.ndim - 3) + (slice(None, -1),)
-    v_hat = y_hat[sel_now] - y_hat[sel_prev]
-    v_ref = y[sel_now] - y[sel_prev]
-    err = l2norm_last(v_hat - v_ref)
-    per_seq = err.sum(axis=(-2, -1)) * (1.0 / (frames * joints))
-    return per_seq.mean()
+    return _weighted_mean(l2norm_last(_motion(y_hat) - _motion(y)), None, frames * joints)
 
 
 @dataclass
@@ -108,13 +93,7 @@ class LossBreakdown:
     frequency: Tensor
 
     def values(self) -> dict:
-        return {
-            "total": self.total.item(),
-            "position": self.position.item(),
-            "temporal": self.temporal.item(),
-            "velocity": self.velocity.item(),
-            "frequency": self.frequency.item(),
-        }
+        return {f.name: getattr(self, f.name).item() for f in fields(self)}
 
 
 def total_loss(y_hat, y, weights: LossWeights, freq_cfg: FreqLossConfig | None = None) -> LossBreakdown:

@@ -7,7 +7,7 @@ floats; they are pure and never participate in differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,19 +93,27 @@ def mpjve(y_hat, y) -> float:
     return float(np.linalg.norm(v_hat - v_ref, axis=-1).mean())
 
 
-def pck_auc(y_hat, y, threshold_mm: float = 150.0, auc_step: float = 5.0):
-    """Percentage of joints within `threshold_mm`, and the mean of that
-    percentage over thresholds 0..threshold_mm in steps of `auc_step`.
+def _pck_auc(pairs) -> tuple:
+    """(PCK, AUC) in percent over every joint of the checked (y_hat, y)
+    pairs: the share with error <= 150 mm, and that share averaged over
+    the thresholds 0, 5, ..., 150 mm."""
+    grid = np.arange(0.0, 152.5, 5.0)
+    correct = correct_grid = joints = 0.0
+    for y_hat, y in pairs:
+        err = np.linalg.norm(y_hat - y, axis=-1)
+        correct += (err <= grid[-1]).sum()
+        correct_grid += np.sum([(err <= thr).sum() for thr in grid])
+        joints += err.size
+    return float(100.0 * correct / joints), float(100.0 * correct_grid / (joints * len(grid)))
+
+
+def pck_auc(y_hat, y) -> tuple:
+    """PCK at 150 mm and its AUC over 0..150 mm, as in ``evaluate_sequences``.
 
     A joint counts as correct when its error is <= the threshold, so a
     perfect prediction scores (100, 100).
     """
-    y_hat, y = _check(y_hat, y)
-    err = np.linalg.norm(y_hat - y, axis=-1)
-    pck = 100.0 * (err <= threshold_mm).mean()
-    grid = np.arange(0.0, threshold_mm + auc_step / 2, auc_step)
-    auc = 100.0 * np.mean([(err <= thr).mean() for thr in grid])
-    return float(pck), float(auc)
+    return _pck_auc([_check(y_hat, y)])
 
 
 def root_relative(poses: np.ndarray, root_index: int = 0) -> np.ndarray:
@@ -127,15 +135,7 @@ class EvalReport:
     degenerate_frames: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "mpjpe_mm": self.mpjpe_mm,
-            "p_mpjpe_mm": self.p_mpjpe_mm,
-            "mpjve_mm_per_frame": self.mpjve_mm_per_frame,
-            "pck_percent": self.pck_percent,
-            "auc_percent": self.auc_percent,
-            "per_action": self.per_action,
-            "degenerate_frames": self.degenerate_frames,
-        }
+        return asdict(self)
 
 
 def evaluate_sequences(predictions, references, names=None, allow_scale: bool = True) -> EvalReport:
@@ -151,9 +151,8 @@ def evaluate_sequences(predictions, references, names=None, allow_scale: bool = 
     per_action = {}
     pos_sum = pal_sum = frame_sum = 0.0
     vel_sum = vel_frames = 0.0
-    correct = correct_grid = total_joints = 0.0
+    checked = []
     degenerate = 0
-    grid = np.arange(0.0, 150.0 + 2.5, 5.0)
     for name, y_hat, y in zip(names, predictions, references):
         y_hat, y = _check(y_hat, y)
         frames = y_hat.shape[0]
@@ -169,17 +168,15 @@ def evaluate_sequences(predictions, references, names=None, allow_scale: bool = 
             entry["mpjve_mm_per_frame"] = ev
             vel_sum += ev * (frames - 1)
             vel_frames += frames - 1
-        err = np.linalg.norm(y_hat - y, axis=-1)
-        correct += (err <= 150.0).sum()
-        correct_grid += np.sum([(err <= thr).sum() for thr in grid])
-        total_joints += err.size
+        checked.append((y_hat, y))
         per_action[name] = entry
+    pck, auc = _pck_auc(checked)
     return EvalReport(
         mpjpe_mm=pos_sum / frame_sum,
         p_mpjpe_mm=pal_sum / frame_sum,
         mpjve_mm_per_frame=(vel_sum / vel_frames) if vel_frames else None,
-        pck_percent=100.0 * correct / total_joints,
-        auc_percent=100.0 * correct_grid / (total_joints * len(grid)),
+        pck_percent=pck,
+        auc_percent=auc,
         per_action=per_action,
         degenerate_frames=degenerate,
     )

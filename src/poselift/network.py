@@ -42,12 +42,12 @@ class ModelConfig:
     hga_heads: int | None = None
     ff_expansion: int = 2
     hop_count: int = 2
-    hop_weights: tuple | None = None
+    hop_weights: tuple[float, ...] | None = None
     dropout: float = 0.25
     lambda_t: float = 0.1
     lambda_m: float = 1.0
     lambda_f: float = 0.1
-    joint_weights: tuple | None = None
+    joint_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.channels_in not in (2, 5):
@@ -65,7 +65,7 @@ class ModelConfig:
         hga = self.hga_heads if self.hga_heads is not None else default_head_count(self.embed_dim)
         for name, heads in (("ste_heads", self.ste_heads), ("tte_heads", self.tte_heads),
                             ("hga_heads", hga)):
-            if self.embed_dim % heads:
+            if heads < 1 or self.embed_dim % heads:
                 raise ConfigError(f"embed_dim {self.embed_dim} not divisible by {name}={heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0,1), got {self.dropout}")

@@ -225,15 +225,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        p = float(exponent)
-        out_data = self.data ** p
-
-        def bw(g):
-            self._accum_owned(g * p * self.data ** (p - 1.0))
-
-        return Tensor._node(out_data, (self,), bw)
-
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self.data, other.data
@@ -436,11 +427,8 @@ def linear(x, w, b=None) -> Tensor:
     axes, whose summation order the seeded float32 runs depend on.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.data.shape[-1] != w.data.shape[0]:
+    if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear: input {x.data.shape} incompatible with weight {w.data.shape}")
-    if x.data.ndim == 1:
-        out = linear(x.reshape(1, x.data.shape[-1]), w, b)
-        return out.reshape(out.data.shape[-1])
     b = as_tensor(b) if b is not None else None
     k, n = w.data.shape
     if w.data.size >= _FLAT_GEMM_MIN_WEIGHT:

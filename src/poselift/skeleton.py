@@ -16,7 +16,15 @@ import numpy as np
 from .errors import ConfigError, GraphStructureError
 
 
-def _canonical_pairs(pairs) -> tuple:
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _canonical_pairs(pairs, what: str) -> tuple:
+    """Each [i, j] of `pairs` as a sorted tuple, else ConfigError."""
+    if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_index, p)) for p in pairs):
+        raise ConfigError(f"{what} must be a list of joint index pairs, got {pairs!r}")
     return tuple(tuple(sorted(map(int, p))) for p in pairs)
 
 
@@ -38,11 +46,12 @@ class SkeletonGraph:
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _canonical_pairs(self.edges))
-        object.__setattr__(self, "symmetric_pairs", _canonical_pairs(self.symmetric_pairs))
+        object.__setattr__(self, "edges", _canonical_pairs(self.edges, "edges"))
+        object.__setattr__(self, "symmetric_pairs",
+                           _canonical_pairs(self.symmetric_pairs, "symmetric pairs"))
         n = self.joint_count
-        if n <= 0:
-            raise ConfigError("joint_count must be positive")
+        if not _is_index(n) or n <= 0:
+            raise ConfigError(f"joint_count must be a positive integer, got {n!r}")
         for i, j in list(self.edges) + list(self.symmetric_pairs):
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError(f"joint index ({i},{j}) outside [0,{n})")
@@ -54,8 +63,8 @@ class SkeletonGraph:
             raise ConfigError("duplicate symmetric pairs")
         if set(self.edges) & set(self.symmetric_pairs):
             raise ConfigError("symmetric pairs may not repeat bone edges")
-        if not 0 <= self.root_index < n:
-            raise ConfigError(f"root index {self.root_index} outside [0,{n})")
+        if not _is_index(self.root_index) or not 0 <= self.root_index < n:
+            raise ConfigError(f"root index {self.root_index!r} outside [0,{n})")
         if self.joint_names is not None:
             object.__setattr__(self, "joint_names", tuple(self.joint_names))
             if len(self.joint_names) != n:
@@ -223,7 +232,7 @@ def load_skeleton(path) -> SkeletonGraph:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON: {exc}") from None
     names = doc.get("joints") if isinstance(doc, dict) else None
-    if not isinstance(names, list):
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ConfigError(f"{path}: a skeleton needs a 'joints' list of names")
     return SkeletonGraph(
         joint_count=len(names),

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, DataError, DivergenceError, config_from_dict
-from .frequency import FreqLossConfig
 from .losses import LossWeights, total_loss
 from .metrics import EvalReport, evaluate_sequences, mpjpe, root_relative
 from .network import ModelConfig, PoseLifter, two_stage_forward
@@ -231,12 +230,6 @@ class TrainResult:
     epoch_val_mpjpe: list
 
 
-def _loss_weights(model_cfg: ModelConfig) -> LossWeights:
-    w = None if model_cfg.joint_weights is None else np.asarray(model_cfg.joint_weights)
-    return LossWeights(lambda_t=model_cfg.lambda_t, lambda_m=model_cfg.lambda_m,
-                       lambda_f=model_cfg.lambda_f, joint_weights=w)
-
-
 def _stage_models(cfg: TrainConfig, skeleton: SkeletonGraph,
                   checkpoint: str | None = None) -> tuple:
     """(model, preliminary) for cfg's stage, the model loaded from `checkpoint`
@@ -304,8 +297,8 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
         raise DataError("validation split leaves no training sequences")
 
     model, preliminary = _stage_models(cfg, skeleton)
-    weights = _loss_weights(cfg.model)
-    freq_cfg = FreqLossConfig(joint_weights=weights.joint_weights)
+    weights = LossWeights(lambda_t=cfg.model.lambda_t, lambda_m=cfg.model.lambda_m,
+                          lambda_f=cfg.model.lambda_f, joint_weights=cfg.model.joint_weights)
     params = model.parameters()
     optimizer = AdamW(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
 
@@ -344,7 +337,7 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
                         y_pre = data_mod.inject_noise(y_pre, cfg.noise, rng)
                     xb = np.concatenate([xb, y_pre], axis=-1)
                 out = model.forward(xb, training=True, rng=rng)
-                breakdown = total_loss(out, yb, weights, freq_cfg)
+                breakdown = total_loss(out, yb, weights)
                 vals = breakdown.values()
                 step = step_start // cfg.batch_size
                 writer.writerow([epoch, step, vals["position"], vals["temporal"],

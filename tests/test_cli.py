@@ -266,6 +266,12 @@ def _written(tmp_path, name, text):
     return path
 
 
+def _inspect_skeleton(tmp_path, **changes):
+    """inspect-adjacency on a 3-joint chain skeleton JSON, edited."""
+    doc = {"joints": ["a", "b", "c"], "edges": [[0, 1], [1, 2]], "root": 0, **changes}
+    return ["inspect-adjacency", "--skeleton", _written(tmp_path, "sk.json", json.dumps(doc))]
+
+
 # name -> (argv built in tmp_path, exit code, text the one-line message names)
 MALFORMED_INPUTS = {
     "eval_every 0": (lambda p: ["train", "--config", _config_doc(p, eval_every=0)], 2,
@@ -277,7 +283,20 @@ MALFORMED_INPUTS = {
     "model not an object": (lambda p: ["train", "--config", _config_doc(p, model=5)], 2,
                             "model must be a JSON object"),
     "noise groups not a list": (lambda p: ["train", "--config", _config_doc(
-        p, noise={"groups": 5})], 2, "noise groups"),
+        p, noise={"groups": 5})], 2, "noise.groups"),
+    "string model depth": (lambda p: ["train", "--config", _config_doc(
+        p, model={"channels_in": 2, "depth": "3"})], 2, "model.depth"),
+    "string noise stds": (lambda p: ["train", "--config", _config_doc(
+        p, noise={"stds": ["a", "b", "c", "d"]})], 2, "noise.stds"),
+    "string epochs": (lambda p: ["train", "--config", _config_doc(p, epochs="5")], 2,
+                      "train.epochs"),
+    "string seed": (lambda p: ["train", "--config", _config_doc(p, seed="5")], 2, "train.seed"),
+    "string jitter": (lambda p: ["train", "--config", _config_doc(p, jitter_2d_std="0.1")], 2,
+                      "train.jitter_2d_std"),
+    "string grad_clip": (lambda p: ["train", "--config", _config_doc(p, grad_clip="1")], 2,
+                         "train.grad_clip"),
+    "string root_center": (lambda p: ["train", "--config", _config_doc(p, root_center="no")], 2,
+                           "train.root_center"),
     "malformed config JSON": (lambda p: ["train", "--config", _written(p, "c.json", "{")], 2,
                               "malformed JSON"),
     "config not an object": (lambda p: ["train", "--config", _written(p, "c.json", "[1]")], 2,
@@ -295,6 +314,12 @@ MALFORMED_INPUTS = {
                                            _written(p, "sk.json", '{"edges": []}')], 2, "joints"),
     "malformed skeleton JSON": (lambda p: ["gen-data", "--out", p / "g", "--skeleton",
                                            _written(p, "sk.json", "{")], 2, "malformed JSON"),
+    "non-integer skeleton edge": (lambda p: _inspect_skeleton(p, edges=[[0, "x"], [1, 2]]), 2,
+                                  "edges"),
+    "string skeleton root": (lambda p: _inspect_skeleton(p, root="x"), 2, "root index"),
+    "skeleton edges not a list": (lambda p: _inspect_skeleton(p, edges=5), 2, "edges"),
+    "three-joint skeleton edge": (lambda p: _inspect_skeleton(p, edges=[[0, 1, 2], [1, 2]]), 2,
+                                  "edges"),
     "gen-data count 0": (lambda p: ["gen-data", "--out", p / "g", "--count", 0], 2, "--count"),
 }
 

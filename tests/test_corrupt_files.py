@@ -1,13 +1,18 @@
-"""Seeded corpus of damaged binary files: ``.pseq`` pose sequences and
-``HGFW1`` checkpoints, each truncated, with a byte flipped, or extended.
+"""Seeded corpus of damaged input files: ``.pseq`` pose sequences and
+``HGFW1`` checkpoints, each truncated, with a byte flipped, or extended;
+and train-config and skeleton JSON, each with one value swapped for
+another type, nested, or dropped.
 
 Reading a mutant (for a checkpoint: loading it into its model) either
 succeeds or raises a PoseLiftError subclass, and the command that reads
-it (``export-trajectory``, ``eval``) exits 2 or 3 with a one-line message
-when the reader rejects it, 0 when it does not, or 4 when a checkpoint
-that loads overflows the forward pass (a numeric divergence).
+a binary file (``export-trajectory``, ``eval``) exits 2 or 3 with a
+one-line message when the reader rejects it, 0 when it does not, or 4
+when a checkpoint that loads overflows the forward pass (a numeric
+divergence).
 """
 
+import copy
+import json
 import struct
 
 import numpy as np
@@ -17,6 +22,7 @@ import poselift as pl
 from poselift.cli import main
 from poselift.errors import PoseLiftError
 from poselift.network import ModelConfig
+from poselift.skeleton import load_skeleton
 from poselift.numerics import load_checkpoint
 from poselift.training import TrainConfig
 
@@ -131,3 +137,75 @@ def test_entry_larger_than_the_file(tmp_path):
                      + struct.pack("<4I", 3, 2, 2 ** 32 - 1, 2 ** 32 - 1) + b"\0" * 8)
     with pytest.raises(pl.TruncatedFileError):
         load_checkpoint(path)
+
+
+# values of every JSON type, small enough that no mutant asks for much memory
+JSON_VALUES = [None, True, 0, -1, 2.5, "x", [], [1, "a"], {}, {"a": 1}]
+
+
+def json_locations(node):
+    """(container, key) of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    else:
+        items = list(enumerate(node)) if isinstance(node, list) else []
+    for key, value in items:
+        yield node, key
+        yield from json_locations(value)
+
+
+def json_mutants(doc, seed: int) -> list:
+    """(kind, copy) of `doc` with one value anywhere in it swapped for a
+    value of another type, nested in a list or an object, or dropped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(MUTANTS):
+        kind = ("swap", "nest", "drop")[i % 3]
+        mutant = copy.deepcopy(doc)
+        spots = list(json_locations(mutant))
+        node, key = spots[int(rng.integers(len(spots)))]
+        if kind == "swap":
+            others = [v for v in JSON_VALUES if type(v) is not type(node[key])]
+            node[key] = copy.deepcopy(others[int(rng.integers(len(others)))])
+        elif kind == "nest":
+            node[key] = [node[key]] if rng.integers(2) else {"v": node[key]}
+        else:
+            del node[key]
+        out.append((kind, mutant))
+    return out
+
+
+def check_json_mutants(doc, seed, read) -> int:
+    """`read` of each mutant of `doc` returns or raises a PoseLiftError;
+    returns how many raised."""
+    rejected = 0
+    for index, (kind, mutant) in enumerate(json_mutants(doc, seed)):
+        try:
+            read(mutant)
+        except PoseLiftError:
+            rejected += 1
+        except Exception as exc:
+            raise AssertionError(f"mutant {index} ({kind}) {json.dumps(mutant)}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+    return rejected
+
+
+def test_train_config_mutants():
+    model = ModelConfig(frames=9, depth=2, joint_weights=tuple([1.0] * 17))
+    cfg = TrainConfig(stage="main", model=model, noise=pl.NoiseConfig(), grad_clip=1.0,
+                      preliminary_checkpoint="pre.ckpt")
+    rejected = check_json_mutants(json.loads(cfg.to_json()), 2, TrainConfig.from_dict)
+    assert rejected >= MUTANTS // 2
+
+
+def test_skeleton_mutants(tmp_path):
+    source = tmp_path / "source.json"
+    pl.save_skeleton(pl.human36m_skeleton(), source)
+    path = tmp_path / "skeleton.json"
+
+    def read(doc):
+        path.write_text(json.dumps(doc))
+        return load_skeleton(path)
+
+    rejected = check_json_mutants(json.loads(source.read_text()), 3, read)
+    assert rejected >= MUTANTS // 2

@@ -3,9 +3,8 @@ import pytest
 from scipy.fft import dct as scipy_dct
 
 from poselift.errors import ConfigError, ShapeError
-from poselift.frequency import (FreqLossConfig, apply_truncation, dct_forward,
-                                dct_inverse, dct_matrix, freq_loss,
-                                freq_loss_spatial_axis, trajectory_spectrum,
+from poselift.frequency import (FreqLossConfig, dct_forward, dct_inverse, dct_matrix,
+                                freq_loss, freq_loss_spatial_axis, trajectory_spectrum,
                                 truncation_weights)
 from poselift.numerics import Tensor, grad_check
 
@@ -78,10 +77,6 @@ class TestDctTransforms:
         c = rng.normal(size=size)
         assert np.abs(dct_forward(dct_inverse(c)) - c).max() < 1e-9
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            dct_forward(np.zeros(5), dct_matrix(4))
-
 
 def two_sample_case():
     """T=2, N=1: reference x-trajectory [0, 1]; prediction all zero."""
@@ -136,6 +131,12 @@ class TestFreqLoss:
         oracle = (np.linalg.norm(ca - cb, axis=-1) * w).sum() / (6 * 3)
         assert abs(freq_loss(a, b, cfg).item() - oracle) < 1e-9
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            freq_loss(np.zeros((4, 2, 3)), np.zeros((4, 3, 3)))
+        with pytest.raises(ShapeError):
+            freq_loss_spatial_axis(np.zeros((4, 2, 2)), np.zeros((4, 2, 2)))
+
     def test_gradient(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=(5, 3, 3))
@@ -189,12 +190,6 @@ class TestTruncation:
         low = truncation_weights(5, FreqLossConfig(truncation="low_weighted", keep=2,
                                                    down_weight=0.25))
         assert low.tolist() == [1, 1, 0.25, 0.25, 0.25]
-
-    def test_apply_truncation_masks_term_axis(self):
-        terms = Tensor(np.ones((4, 3)))
-        cfg = FreqLossConfig(truncation="top", keep=2)
-        out = apply_truncation(terms, cfg)
-        assert out.data[:2].sum() == 6.0 and out.data[2:].sum() == 0.0
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):

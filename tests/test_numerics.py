@@ -10,14 +10,22 @@ from poselift.numerics import (Parameter, Tensor, batch_norm, cat, dropout, gelu
                                scaled_dot_attention, softmax_rows)
 
 
+def squared_sum(y):
+    return (y * y).sum()
+
+
 class TestLinear:
     def test_identity_weight(self):
-        out = linear(Tensor([1.0, 2.0]), Tensor(np.eye(2)))
-        assert out.data.tolist() == [1.0, 2.0]
+        out = linear(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)))
+        assert out.data.tolist() == [[1.0, 2.0]]
 
     def test_dot_product(self):
-        out = linear(Tensor([1.0, 1.0]), Tensor([[2.0], [3.0]]))
-        assert out.data.tolist() == [5.0]
+        out = linear(Tensor([[1.0, 1.0]]), Tensor([[2.0], [3.0]]))
+        assert out.data.tolist() == [[5.0]]
+
+    def test_rejects_rank_one_input(self):
+        with pytest.raises(ShapeError, match=r"\(2,\)"):
+            linear(Tensor([1.0, 2.0]), Tensor(np.eye(2)))
 
     def test_bias(self):
         out = linear(Tensor([[1.0, 0.0]]), Tensor(np.eye(2)), Tensor([10.0, 20.0]))
@@ -182,7 +190,7 @@ class TestNormalizationAndGelu:
         out = batch_norm(x, gamma, beta, mean, var, training=False).data
         ref = (x.data - mean) / np.sqrt(var + 1e-5) * gamma.data + beta.data
         assert np.allclose(out, ref, atol=1e-12)
-        err = grad_check(lambda t, g, b: (batch_norm(t, g, b, mean, var, training=False) ** 2.0).sum(),
+        err = grad_check(lambda t, g, b: squared_sum(batch_norm(t, g, b, mean, var, training=False)),
                          [x, gamma, beta])
         assert err < 1e-4
 
@@ -219,7 +227,7 @@ class TestNormalizationAndGelu:
         gamma = Tensor(rng.normal(size=6), requires_grad=True)
         beta = Tensor(rng.normal(size=6), requires_grad=True)
         err = grad_check(
-            lambda t, g, b: (batch_norm(t, g, b, mean, var, training=True) ** 2.0).sum(),
+            lambda t, g, b: squared_sum(batch_norm(t, g, b, mean, var, training=True)),
             [x, gamma, beta])
         assert err < 1e-4
 
