@@ -52,10 +52,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.channels_in not in (2, 5):
             raise ConfigError(f"channels_in must be 2 or 5, got {self.channels_in}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.hop_count < 1:
-            raise ConfigError(f"hop_count must be >= 1, got {self.hop_count}")
+        for name in ("frames", "joints", "embed_dim", "depth", "ff_expansion", "hop_count"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.hop_weights is None:
             self.hop_weights = tuple(1.0 for _ in range(self.hop_count))
         else:

@@ -297,6 +297,10 @@ MALFORMED_INPUTS = {
                          "train.grad_clip"),
     "string root_center": (lambda p: ["train", "--config", _config_doc(p, root_center="no")], 2,
                            "train.root_center"),
+    "negative embed_dim": (lambda p: ["train", "--config", _config_doc(
+        p, model={"channels_in": 2, "embed_dim": -8})], 2, "embed_dim"),
+    "ff_expansion 0": (lambda p: ["train", "--config", _config_doc(
+        p, model={"channels_in": 2, "ff_expansion": 0})], 2, "ff_expansion"),
     "malformed config JSON": (lambda p: ["train", "--config", _written(p, "c.json", "{")], 2,
                               "malformed JSON"),
     "config not an object": (lambda p: ["train", "--config", _written(p, "c.json", "[1]")], 2,

@@ -21,9 +21,9 @@ import pytest
 import poselift as pl
 from poselift.cli import main
 from poselift.errors import PoseLiftError
-from poselift.network import ModelConfig
+from poselift.network import ModelConfig, PoseLifter
 from poselift.skeleton import load_skeleton
-from poselift.numerics import load_checkpoint
+from poselift.numerics import load_checkpoint, no_grad
 from poselift.training import TrainConfig
 
 MUTANTS = 90  # per format: a third each truncated, flipped and extended
@@ -191,10 +191,27 @@ def check_json_mutants(doc, seed, read) -> int:
 
 
 def test_train_config_mutants():
+    """A mutant `TrainConfig.from_dict` accepts also builds both stage
+    models, each of which lifts a sequence to finite poses."""
+    skeleton = pl.human36m_skeleton()
+
+    def build_and_lift(doc):
+        cfg = TrainConfig.from_dict(doc)
+        for model_cfg in (cfg.model, cfg.preliminary_model):
+            if model_cfg is None:
+                continue
+            lifter = PoseLifter(model_cfg, skeleton)
+            x = np.random.default_rng(0).normal(
+                size=(1, model_cfg.frames, model_cfg.joints, model_cfg.channels_in))
+            with no_grad():
+                out = lifter.forward(x)
+            if not np.isfinite(out.data).all():
+                raise AssertionError("non-finite forward")
+
     model = ModelConfig(frames=9, depth=2, joint_weights=tuple([1.0] * 17))
     cfg = TrainConfig(stage="main", model=model, noise=pl.NoiseConfig(), grad_clip=1.0,
                       preliminary_checkpoint="pre.ckpt")
-    rejected = check_json_mutants(json.loads(cfg.to_json()), 2, TrainConfig.from_dict)
+    rejected = check_json_mutants(json.loads(cfg.to_json()), 2, build_and_lift)
     assert rejected >= MUTANTS // 2
 
 

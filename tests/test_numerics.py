@@ -14,6 +14,15 @@ def squared_sum(y):
     return (y * y).sum()
 
 
+def assert_bitwise_equal(a, b):
+    """Same dtype, shape, NaN positions and bits everywhere else (so +0 != -0)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    assert np.array_equal(a[~nan].view(bits), b[~nan].view(bits))
+
+
 class TestLinear:
     def test_identity_weight(self):
         out = linear(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)))
@@ -91,6 +100,32 @@ class TestSoftmax:
         seed = rng.normal(size=(3, 5))
         err = grad_check(lambda t: (softmax_rows(t) * Tensor(seed)).sum(), [x])
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_reduction_max(self, dtype):
+        # The plain form: the row maximum from numpy's reduction.
+        def reference(s):
+            s = s - s.max(axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=-1, keepdims=True)
+            return s
+
+        rng = np.random.default_rng(47)
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        for n in list(range(1, 41)) + [243]:
+            s = (rng.normal(size=(3, 6, n)) * 5).astype(dtype)
+            s[0, 1] = 0.0
+            s[0, 2] = -0.0
+            s[0, 3, ::2] = -0.0
+            s[0, 4] = -np.inf
+            # one special value in every row of s[1], several in s[2]
+            s[1, np.arange(6), rng.integers(n, size=6)] = specials[rng.integers(5, size=6)]
+            spots = rng.integers(n, size=(6, 3))
+            s[2, np.arange(6)[:, None], spots] = specials[rng.integers(5, size=(6, 3))]
+            with np.errstate(invalid="ignore"):
+                expected = reference(s)
+                got = numerics._softmax_inplace(s.copy())
+            assert_bitwise_equal(got, expected)
 
 
 class TestScaledDotAttention:
@@ -204,6 +239,53 @@ class TestNormalizationAndGelu:
         assert (np.abs(mean) > 0.1).all()  # running stats moved toward ~5
         eval_out = batch_norm(x, gamma, beta, mean, var, training=False)
         assert eval_out.data.shape == x.data.shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_np_var_form(self, dtype):
+        # The plain form: statistics from np.mean and np.var, then the same
+        # closed-form gradients and running-statistic update as the node.
+        def reference(x, gamma, beta, g, axes, running=None):
+            mu = x.mean(axis=axes, keepdims=True)
+            var = x.var(axis=axes, keepdims=True)
+            inv = (1.0 / np.sqrt(var + 1e-5)).astype(x.dtype, copy=False)
+            xhat = x - mu
+            xhat *= inv
+            y = xhat * gamma + beta
+            lead = tuple(range(x.ndim - 1))
+            h = g * gamma
+            gx = h - h.mean(axis=axes, keepdims=True)
+            gx -= xhat * (h * xhat).mean(axis=axes, keepdims=True)
+            gx *= inv
+            if running is not None:
+                n = x.size // x.shape[-1]
+                running[0] *= 0.9
+                running[0] += 0.1 * mu.reshape(-1)
+                running[1] *= 0.9
+                running[1] += 0.1 * var.reshape(-1) * (n / (n - 1))
+            return y, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+        rng = np.random.default_rng(48)
+        shape = (2, 9, 17, 24)
+        with precision(dtype):
+            for mode in ("layer", "batch"):
+                x = Tensor(rng.normal(3.0, 7.0, size=shape), requires_grad=True)
+                gamma = Tensor(rng.normal(size=24), requires_grad=True)
+                beta = Tensor(rng.normal(size=24), requires_grad=True)
+                g = rng.normal(size=shape).astype(dtype)
+                running = [rng.normal(size=24), rng.uniform(0.5, 2.0, size=24)]
+                expected_running = [r.copy() for r in running]
+                if mode == "layer":
+                    y = layer_norm(x, gamma, beta)
+                    expected = reference(x.data, gamma.data, beta.data, g, (-1,))
+                else:
+                    y = batch_norm(x, gamma, beta, *running, training=True)
+                    expected = reference(x.data, gamma.data, beta.data, g, (0, 1, 2),
+                                         expected_running)
+                y.backward(g)
+                for got, want in zip((y.data, x.grad, gamma.grad, beta.grad), expected):
+                    assert_bitwise_equal(got, want)
+                for got, want in zip(running, expected_running):
+                    assert_bitwise_equal(got, want)
 
     def test_gelu_fixed_point_and_value(self):
         assert gelu(Tensor([0.0])).data[0] == 0.0
