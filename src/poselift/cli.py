@@ -34,6 +34,8 @@ def _load_skeleton_arg(path: str | None):
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     skeleton = _load_skeleton_arg(args.skeleton)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -63,8 +63,10 @@ class HgaParams(Module):
 
 
 def project_ab(x_in, params: HgaParams) -> tuple:
-    """Two linear views of the normalized features, per frame."""
-    return linear(x_in, params.w_a), linear(x_in, params.w_b)
+    """Two linear views of the normalized features, per frame, each split
+    into heads: (..., N, C) -> (..., heads, N, C/heads)."""
+    return (linear(x_in, params.w_a, heads=params.heads),
+            linear(x_in, params.w_b, heads=params.heads))
 
 
 def aggregate_hybrid(x_b_h, adj_total) -> Tensor:
@@ -91,25 +93,12 @@ def npsc(x_a_h, x_b_h, attn_sink: list | None = None) -> Tensor:
 
 
 def fuse_update(x_a_h, x_hyb_att, x_joint_h, w_upd) -> Tensor:
-    """Concatenate the three subspace signals and project back down."""
+    """Concatenate the three (..., h, N, C/h) subspace signals, project
+    back down and merge the heads: (..., N, C)."""
     x_a_h, x_hyb_att, x_joint_h = map(as_tensor, (x_a_h, x_hyb_att, x_joint_h))
     if not (x_a_h.data.shape == x_hyb_att.data.shape == x_joint_h.data.shape):
         raise ShapeError("fuse_update expects three identically shaped tensors")
-    return linear(cat([x_a_h, x_hyb_att, x_joint_h], axis=-1), w_upd)
-
-
-def stack_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., N, C) -> (..., h, N, C/h); head i holds channels [i*C/h, (i+1)*C/h)."""
-    shape = x.data.shape
-    sub = shape[-1] // heads
-    return x.reshape(shape[:-1] + (heads, sub)).swapaxes(-3, -2)
-
-
-def unstack_heads(x: Tensor) -> Tensor:
-    """(..., h, N, C/h) -> (..., N, C), the inverse of stack_heads."""
-    x = x.swapaxes(-3, -2)
-    shape = x.data.shape
-    return x.reshape(shape[:-2] + (shape[-2] * shape[-1],))
+    return linear(cat([x_a_h, x_hyb_att, x_joint_h], axis=-1), w_upd, merge_heads=True)
 
 
 def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
@@ -125,15 +114,12 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
         raise ShapeError(f"input {x.data.shape} vs module ({params.joints} joints, "
                          f"{params.channels} channels)")
     x_in = layer_norm(x, params.ln_gamma, params.ln_beta)
-    x_a, x_b = project_ab(x_in, params)
+    a, b = project_ab(x_in, params)
     adj_total = params.learnable_adj + Tensor(skeletal_adj)
-    a = stack_heads(x_a, params.heads)
-    b = stack_heads(x_b, params.heads)
     hyb = aggregate_hybrid(b, adj_total)
     hyb_att = hybrid_cross_attention(a, hyb, params, attn_sink=attn_sink)
     joint = npsc(a, b, attn_sink=attn_sink)
-    fused = fuse_update(a, hyb_att, joint, params.w_upd)
-    merged = linear(unstack_heads(fused), params.w_merge)
+    merged = linear(fuse_update(a, hyb_att, joint, params.w_upd), params.w_merge)
     out = batch_norm(merged, params.bn_gamma, params.bn_beta,
                      params.bn_mean, params.bn_var, training=training)
     return gelu(out) + x_in

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, ShapeError
-from .hga import HgaParams, default_head_count, hga_forward, stack_heads, unstack_heads
+from .hga import HgaParams, default_head_count, hga_forward
 from .numerics import (Module, Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
                        linear, no_grad, scaled_dot_attention, uniform_init)
 from .skeleton import SkeletonGraph, build_hybrid_adjacency
@@ -107,14 +107,14 @@ def encoder_forward(x, params: EncoderParams, training: bool = False,
     """Self-attention over the second-to-last axis, with residuals."""
     x = as_tensor(x)
     h = layer_norm(x, params.ln1_gamma, params.ln1_beta)
-    q = stack_heads(linear(h, params.w_q, params.b_q), params.heads)
-    k = stack_heads(linear(h, params.w_k, params.b_k), params.heads)
-    v = stack_heads(linear(h, params.w_v, params.b_v), params.heads)
-    attended = unstack_heads(scaled_dot_attention(q, k, v))
-    x = x + dropout(linear(attended, params.w_o, params.b_o), drop_rate, rng, training)
+    q = linear(h, params.w_q, params.b_q, heads=params.heads)
+    k = linear(h, params.w_k, params.b_k, heads=params.heads)
+    v = linear(h, params.w_v, params.b_v, heads=params.heads)
+    attended = scaled_dot_attention(q, k, v, merge_heads=True)
+    x = dropout(attended, drop_rate, rng, training, residual=x, w=params.w_o, b=params.b_o)
     h2 = layer_norm(x, params.ln2_gamma, params.ln2_beta)
-    ff = linear(gelu(linear(h2, params.w_ff1, params.b_ff1)), params.w_ff2, params.b_ff2)
-    return x + dropout(ff, drop_rate, rng, training)
+    hidden = gelu(linear(h2, params.w_ff1, params.b_ff1))
+    return dropout(hidden, drop_rate, rng, training, residual=x, w=params.w_ff2, b=params.b_ff2)
 
 
 class SpatialBlock(Module):

@@ -415,7 +415,40 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def linear(x, w, b=None) -> Tensor:
+def _linear_data(x: Tensor, w: Tensor, b) -> np.ndarray:
+    k, n = w.data.shape
+    if w.data.size >= _FLAT_GEMM_MIN_WEIGHT:
+        out = (x.data.reshape(-1, k) @ w.data).reshape(x.data.shape[:-1] + (n,))
+    else:
+        out = x.data @ w.data
+    if b is not None:
+        out += b.data
+    return out
+
+
+def _linear_backward(g: np.ndarray, x: Tensor, w: Tensor, b) -> None:
+    if x.requires_grad:
+        x._accum_owned(g @ w.data.T)
+    if w.requires_grad:
+        w._accum_owned(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+    if b is not None and b.requires_grad:
+        gb = _unbroadcast(g, b.data.shape)
+        (b._accum if gb is g else b._accum_owned)(gb)
+
+
+def _head_view(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., N, C) -> (..., heads, N, C/heads) as a strided view; head i
+    holds channels [i*C/heads, (i+1)*C/heads)."""
+    return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -3, -2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., h, N, d) -> (..., N, h*d), contiguous; the inverse of _head_view."""
+    a = np.ascontiguousarray(np.swapaxes(a, -3, -2))
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def linear(x, w, b=None, heads: int | None = None, merge_heads: bool = False) -> Tensor:
     """y[..., j] = sum_i x[..., i] w[i, j] (+ b[j]), as one fused node.
 
     For weights of at least _FLAT_GEMM_MIN_WEIGHT entries the forward
@@ -428,28 +461,33 @@ def linear(x, w, b=None) -> Tensor:
     both forms, since the output gradient has the same shape either way:
     the weight gradient is the batched ``x^T @ g`` summed over the leading
     axes, whose summation order the seeded float32 runs depend on.
+
+    `heads` splits the (..., N, C) output into (..., heads, N, C/heads),
+    head i holding channels [i*C/heads, (i+1)*C/heads).  `merge_heads`
+    takes an input that holds heads on axis -3, (..., h, N, K), and
+    returns the (..., h, N, n) product merged to (..., N, h*n).  Either
+    way the node stores only the rearranged copy, and its backward reads
+    only `x` and `w`: the product in the other layout is never kept.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear: input {x.data.shape} incompatible with weight {w.data.shape}")
+    if heads is not None and (heads < 1 or w.data.shape[1] % heads):
+        raise ShapeError(f"linear: {w.data.shape[1]} output channels in {heads} heads")
     b = as_tensor(b) if b is not None else None
-    k, n = w.data.shape
-    if w.data.size >= _FLAT_GEMM_MIN_WEIGHT:
-        out_data = (x.data.reshape(-1, k) @ w.data).reshape(x.data.shape[:-1] + (n,))
-    else:
-        out_data = x.data @ w.data
-    if b is not None:
-        out_data += b.data
+    out_data = _linear_data(x, w, b)
+    if heads is not None:
+        out_data = np.ascontiguousarray(_head_view(out_data, heads))
+    elif merge_heads:
+        out_data = _merge_heads(out_data)
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        if x.requires_grad:
-            x._accum_owned(g @ w.data.T)
-        if w.requires_grad:
-            w._accum_owned(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
-        if b is not None and b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            (b._accum if gb is g else b._accum_owned)(gb)
+        if heads is not None:
+            g = _merge_heads(g)
+        elif merge_heads:
+            g = _head_view(g, x.data.shape[-3])
+        _linear_backward(g, x, w, b)
 
     return Tensor._node(out_data, parents, bw)
 
@@ -509,7 +547,7 @@ def softmax_rows(x) -> Tensor:
 
 
 def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
-                         scale: float | None = None) -> Tensor:
+                         scale: float | None = None, merge_heads: bool = False) -> Tensor:
     """softmax(scale * q k^T) v over the trailing two axes, as one node.
 
     `scale` defaults to 1/sqrt(d).  Leading axes broadcast, so (..., n, d)
@@ -519,6 +557,8 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
     dS = P * (dP - rowsum(dP * P)), the softmax gradient in the form
     FlashAttention uses (Dao et al. 2022).  If `attn_sink` is a list, the
     weight array is appended to it (diagnostics only, no gradient).
+    `merge_heads` returns the (..., h, n, d) output with its heads merged,
+    (..., n, h*d), and the unmerged output is never kept.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.data.shape[-1]
@@ -538,8 +578,12 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
     if attn_sink is not None:
         attn_sink.append(weights)
     out_data = weights @ v.data
+    if merge_heads:
+        out_data = _merge_heads(out_data)
 
     def bw(g):
+        if merge_heads:
+            g = _head_view(g, q.data.shape[-3])
         if v.requires_grad:
             v._accum_owned(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape))
         if not (q.requires_grad or k.requires_grad):
@@ -660,30 +704,52 @@ def gelu(x) -> Tensor:
     return Tensor._node(out_data, (x,), bw)
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout as one node; identity when not training or rate is 0.
+def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
+            residual=None, w=None, b=None) -> Tensor:
+    """Inverted dropout as one node: ``residual + drop(x @ w + b)``.
 
-    The keep mask is boolean, ``rng.random(shape) >= rate``, and kept
-    entries are scaled by 1 / (1 - rate).
+    Without the Tensors `w` (and bias `b`) the dropped value is `x`, and
+    without the Tensor `residual` nothing is added.  Nothing is dropped
+    when not training or at rate 0; with neither `w` nor `residual` that
+    returns `x` itself.  The keep mask is boolean, ``rng.random(shape) >=
+    rate``, and kept entries are scaled by 1 / (1 - rate).  The arithmetic
+    and its order are those of ``residual + dropout(linear(x, w, b), ...)``,
+    but the backward reads only `x`, `w` and the mask, and neither the
+    projection nor the dropped values are stored.
     """
     x = as_tensor(x)
-    if not training or rate <= 0.0:
+    drop = training and rate > 0.0
+    if not drop and w is None and residual is None:
         return x
-    if rng is None:
+    if drop and rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    out_data = x.data * scale
-    out_data *= keep
+    y = x.data if w is None else _linear_data(x, w, b)
+    if residual is not None and residual.data.shape != y.shape:
+        raise ShapeError(f"dropout: residual {residual.data.shape} vs value {y.shape}")
+    if drop:
+        keep = rng.random(y.shape) >= rate
+        scale = 1.0 / (1.0 - rate)
+        y = y * scale
+        y *= keep
+    out_data = y if residual is None else residual.data + y
+    # The residual first: the backward then visits the nodes in the order
+    # the unfused ``residual + dropout(linear(...))`` gave them.
+    parents = tuple(t for t in (residual, x, w, b) if t is not None)
 
     def bw(g):
-        # C order whatever g's layout: the bias gradients upstream sum this
-        # array over its leading axes, and their rounding follows its layout.
-        gx = np.multiply(g, scale, order="C")
-        gx *= keep
-        x._accum_owned(gx)
+        if residual is not None and residual.requires_grad:
+            residual._accum(g)
+        if drop:
+            # C order whatever g's layout: the bias gradients upstream sum this
+            # array over its leading axes, and their rounding follows its layout.
+            g = np.multiply(g, scale, order="C")
+            g *= keep
+        if w is not None:
+            _linear_backward(g, x, w, b)
+        else:
+            (x._accum_owned if drop else x._accum)(g)
 
-    return Tensor._node(out_data, (x,), bw)
+    return Tensor._node(out_data, parents, bw)
 
 
 # -- gradient verification -------------------------------------------------

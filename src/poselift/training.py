@@ -68,6 +68,12 @@ class TrainConfig:
             raise ConfigError(f"stage must be 'preliminary' or 'main', got {self.stage!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val fraction must lie in [0,1), got {self.val_fraction}")
+        # Written as `not x >= 0` so that NaN is refused too.
+        for name in ("seed", "weight_decay", "jitter_2d_std"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be > 0 or null, got {self.grad_clip}")
         if self.stage == "preliminary" and self.model.channels_in != 2:
             raise ConfigError("preliminary stage requires a channels_in=2 model")
         if self.stage == "main":

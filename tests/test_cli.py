@@ -297,6 +297,15 @@ MALFORMED_INPUTS = {
                          "train.grad_clip"),
     "string root_center": (lambda p: ["train", "--config", _config_doc(p, root_center="no")], 2,
                            "train.root_center"),
+    "grad_clip 0": (lambda p: ["train", "--config", _config_doc(p, grad_clip=0.0)], 2,
+                    "grad_clip"),
+    "negative grad_clip": (lambda p: ["train", "--config", _config_doc(p, grad_clip=-1.0)], 2,
+                           "grad_clip"),
+    "negative jitter": (lambda p: ["train", "--config", _config_doc(p, jitter_2d_std=-0.1)], 2,
+                        "jitter_2d_std"),
+    "negative weight_decay": (lambda p: ["train", "--config", _config_doc(p, weight_decay=-0.01)],
+                              2, "weight_decay"),
+    "negative seed": (lambda p: ["train", "--config", _config_doc(p), "--seed", -1], 2, "seed"),
     "negative embed_dim": (lambda p: ["train", "--config", _config_doc(
         p, model={"channels_in": 2, "embed_dim": -8})], 2, "embed_dim"),
     "ff_expansion 0": (lambda p: ["train", "--config", _config_doc(
@@ -325,6 +334,8 @@ MALFORMED_INPUTS = {
     "three-joint skeleton edge": (lambda p: _inspect_skeleton(p, edges=[[0, 1, 2], [1, 2]]), 2,
                                   "edges"),
     "gen-data count 0": (lambda p: ["gen-data", "--out", p / "g", "--count", 0], 2, "--count"),
+    "gen-data negative seed": (lambda p: ["gen-data", "--out", p / "g", "--seed", -1], 2,
+                               "--seed"),
 }
 
 

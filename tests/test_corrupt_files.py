@@ -1,7 +1,7 @@
 """Seeded corpus of damaged input files: ``.pseq`` pose sequences and
 ``HGFW1`` checkpoints, each truncated, with a byte flipped, or extended;
 and train-config and skeleton JSON, each with one value swapped for
-another type, nested, or dropped.
+another type, nested, or dropped, or one number moved out of range.
 
 Reading a mutant (for a checkpoint: loading it into its model) either
 succeeds or raises a PoseLiftError subclass, and the command that reads
@@ -175,11 +175,34 @@ def json_mutants(doc, seed: int) -> list:
     return out
 
 
-def check_json_mutants(doc, seed, read) -> int:
-    """`read` of each mutant of `doc` returns or raises a PoseLiftError;
-    returns how many raised."""
+# no range mutant holds a number above this, so none asks for much memory
+RANGE_CAP = 128
+
+
+def range_mutants(doc, seed: int) -> list:
+    """(kind, copy) of `doc` with one number anywhere in it replaced by
+    another of the same type: 0, -1, the value plus or minus 1, or twice
+    the value, capped at RANGE_CAP."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(MUTANTS):
+        mutant = copy.deepcopy(doc)
+        spots = [(node, key) for node, key in json_locations(mutant)
+                 if type(node[key]) in (int, float)]
+        node, key = spots[int(rng.integers(len(spots)))]
+        value = node[key]
+        kind = type(value)
+        others = [c for c in map(kind, (0, -1, value + 1, value - 1, 2 * value)) if c != value]
+        node[key] = min(others[int(rng.integers(len(others)))], kind(RANGE_CAP))
+        out.append(("range", mutant))
+    return out
+
+
+def check_json_mutants(doc, seed, read, make=json_mutants) -> int:
+    """`read` of each of `doc`'s mutants (by `make`) returns or raises a
+    PoseLiftError; returns how many raised."""
     rejected = 0
-    for index, (kind, mutant) in enumerate(json_mutants(doc, seed)):
+    for index, (kind, mutant) in enumerate(make(doc, seed)):
         try:
             read(mutant)
         except PoseLiftError:
@@ -190,32 +213,43 @@ def check_json_mutants(doc, seed, read) -> int:
     return rejected
 
 
-def test_train_config_mutants():
-    """A mutant `TrainConfig.from_dict` accepts also builds both stage
-    models, each of which lifts a sequence to finite poses."""
-    skeleton = pl.human36m_skeleton()
+def build_and_lift(doc):
+    """`TrainConfig.from_dict` of `doc`, then both stage models built as
+    ``train`` builds them, each lifting a sequence to finite poses."""
+    cfg = TrainConfig.from_dict(doc)
+    for model_cfg in (cfg.model, cfg.preliminary_model):
+        if model_cfg is None:
+            continue
+        lifter = PoseLifter(model_cfg, pl.human36m_skeleton(), seed=cfg.seed)
+        x = np.random.default_rng(0).normal(
+            size=(1, model_cfg.frames, model_cfg.joints, model_cfg.channels_in))
+        with no_grad():
+            out = lifter.forward(x)
+        if not np.isfinite(out.data).all():
+            raise AssertionError("non-finite forward")
 
-    def build_and_lift(doc):
-        cfg = TrainConfig.from_dict(doc)
-        for model_cfg in (cfg.model, cfg.preliminary_model):
-            if model_cfg is None:
-                continue
-            lifter = PoseLifter(model_cfg, skeleton)
-            x = np.random.default_rng(0).normal(
-                size=(1, model_cfg.frames, model_cfg.joints, model_cfg.channels_in))
-            with no_grad():
-                out = lifter.forward(x)
-            if not np.isfinite(out.data).all():
-                raise AssertionError("non-finite forward")
 
+def train_config_doc() -> dict:
     model = ModelConfig(frames=9, depth=2, joint_weights=tuple([1.0] * 17))
     cfg = TrainConfig(stage="main", model=model, noise=pl.NoiseConfig(), grad_clip=1.0,
                       preliminary_checkpoint="pre.ckpt")
-    rejected = check_json_mutants(json.loads(cfg.to_json()), 2, build_and_lift)
+    return json.loads(cfg.to_json())
+
+
+def test_train_config_mutants():
+    """A mutant `TrainConfig.from_dict` accepts also builds both stage
+    models, each of which lifts a sequence to finite poses."""
+    rejected = check_json_mutants(train_config_doc(), 2, build_and_lift)
     assert rejected >= MUTANTS // 2
 
 
-def test_skeleton_mutants(tmp_path):
+def test_train_config_range_mutants():
+    """The same contract for numbers of the right type out of range."""
+    rejected = check_json_mutants(train_config_doc(), 4, build_and_lift, make=range_mutants)
+    assert rejected >= MUTANTS // 4
+
+
+def check_skeleton_mutants(tmp_path, make) -> int:
     source = tmp_path / "source.json"
     pl.save_skeleton(pl.human36m_skeleton(), source)
     path = tmp_path / "skeleton.json"
@@ -224,5 +258,12 @@ def test_skeleton_mutants(tmp_path):
         path.write_text(json.dumps(doc))
         return load_skeleton(path)
 
-    rejected = check_json_mutants(json.loads(source.read_text()), 3, read)
-    assert rejected >= MUTANTS // 2
+    return check_json_mutants(json.loads(source.read_text()), 3, read, make=make)
+
+
+def test_skeleton_mutants(tmp_path):
+    assert check_skeleton_mutants(tmp_path, json_mutants) >= MUTANTS // 2
+
+
+def test_skeleton_range_mutants(tmp_path):
+    assert check_skeleton_mutants(tmp_path, range_mutants) >= MUTANTS // 2

@@ -4,7 +4,7 @@ import pytest
 from poselift.errors import ConfigError, ShapeError
 from poselift.hga import (HgaParams, aggregate_hybrid, default_head_count,
                           fuse_update, hga_forward, hybrid_cross_attention,
-                          npsc, project_ab, stack_heads, unstack_heads)
+                          npsc, project_ab)
 from poselift.numerics import Tensor, cat, grad_check, linear
 from poselift.skeleton import SkeletonGraph, build_hybrid_adjacency, human36m_skeleton
 
@@ -25,7 +25,10 @@ class TestProjectAb:
         params.w_b.data = np.eye(4)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 4)))
         a, b = project_ab(x, params)
-        assert np.allclose(a.data, x.data) and np.allclose(b.data, x.data)
+        assert a.data.shape == b.data.shape == (2, 2, 3, 2)
+        for h in range(2):
+            assert np.allclose(a.data[:, h], x.data[..., 2 * h : 2 * h + 2])
+            assert np.allclose(b.data[:, h], x.data[..., 2 * h : 2 * h + 2])
 
     def test_zero_input(self):
         params = tiny_params()
@@ -37,49 +40,58 @@ class TestProjectAb:
         x = np.random.default_rng(3).normal(size=(2, 3, 4))
         a, _ = project_ab(Tensor(x), params)
         for t in range(2):
-            assert np.allclose(a.data[t], x[t] @ params.w_a.data, atol=1e-12)
+            for h in range(2):
+                expected = (x[t] @ params.w_a.data)[:, 2 * h : 2 * h + 2]
+                assert np.allclose(a.data[t, h], expected, atol=1e-12)
 
 
 class TestSplitMergeHeads:
-    """The stacked head split (stack_heads) and merge (unstack_heads, then
-    the w_merge product) that hga_forward and the encoders run."""
+    """The head split (``linear(..., heads=h)``) and merge
+    (``merge_heads=True``, then the w_merge product) that hga_forward and
+    the encoders run."""
 
     def test_single_head_identity(self):
         x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4)))
-        stacked = stack_heads(x, 1)
+        stacked = linear(x, Tensor(np.eye(4)), heads=1)
         assert stacked.data.shape == (2, 1, 3, 4)
         assert np.array_equal(stacked.data[:, 0], x.data)
 
     def test_contiguous_chunks(self):
         x = Tensor(np.arange(8.0).reshape(1, 2, 4))
-        stacked = stack_heads(x, 2)
+        stacked = linear(x, Tensor(np.eye(4)), heads=2)
         assert stacked.data[0, 0, 0].tolist() == [0.0, 1.0]
         assert stacked.data[0, 1, 0].tolist() == [2.0, 3.0]
 
     def test_round_trip_bit_exact(self):
         x = Tensor(np.random.default_rng(5).normal(size=(3, 5, 8)))
-        assert np.array_equal(unstack_heads(stack_heads(x, 4)).data, x.data)
+        stacked = linear(x, Tensor(np.eye(8)), heads=4)
+        assert np.array_equal(linear(stacked, Tensor(np.eye(2)), merge_heads=True).data, x.data)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
             HgaParams(3, 5, 2, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.eye(4)), heads=3)
 
     def test_merge_with_identity_selector(self):
         x = Tensor(np.random.default_rng(6).normal(size=(2, 3, 4)))
-        merged = linear(unstack_heads(stack_heads(x, 2)), Tensor(np.eye(4)))
+        parts = linear(x, Tensor(np.eye(4)), heads=2)
+        merged = linear(linear(parts, Tensor(np.eye(2)), merge_heads=True), Tensor(np.eye(4)))
         assert np.allclose(merged.data, x.data, atol=1e-12)
 
     def test_merge_rejects_mismatched_parts(self):
-        parts = stack_heads(Tensor(np.zeros((2, 3, 4))), 2)
+        parts = linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.eye(4)), heads=2)
         with pytest.raises(ShapeError):
-            linear(unstack_heads(parts), Tensor(np.eye(5)))
+            linear(linear(parts, Tensor(np.eye(2)), merge_heads=True), Tensor(np.eye(5)))
 
     def test_merge_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
-        parts = [rng.normal(size=(2, 3, 2)) for _ in range(2)]
+        parts = [rng.normal(size=(2, 3, 6)) for _ in range(2)]
+        w_upd = rng.normal(size=(6, 2))
         w = rng.normal(size=(4, 4))
-        merged = linear(unstack_heads(Tensor(np.stack(parts, axis=-3))), Tensor(w))
-        stacked = np.concatenate(parts, axis=-1)
+        fused = linear(Tensor(np.stack(parts, axis=-3)), Tensor(w_upd), merge_heads=True)
+        merged = linear(fused, Tensor(w))
+        stacked = np.concatenate([p @ w_upd for p in parts], axis=-1)
         for t in range(2):
             assert np.allclose(merged.data[t], stacked[t] @ w, atol=1e-12)
 
@@ -166,11 +178,12 @@ class TestNpsc:
 class TestFuseUpdate:
     def test_selector_matrix_returns_first_input(self):
         rng = np.random.default_rng(14)
-        xs = [Tensor(rng.normal(size=(2, 3, 2))) for _ in range(3)]
+        xs = [Tensor(rng.normal(size=(2, 2, 3, 2))) for _ in range(3)]  # (T, heads, N, C/h)
         w = np.zeros((6, 2))
         w[:2] = np.eye(2)
         out = fuse_update(xs[0], xs[1], xs[2], Tensor(w))
-        assert np.allclose(out.data, xs[0].data, atol=1e-12)
+        merged = np.concatenate([xs[0].data[:, 0], xs[0].data[:, 1]], axis=-1)
+        assert np.allclose(out.data, merged, atol=1e-12)
 
     def test_zero_inputs(self):
         z = Tensor(np.zeros((2, 3, 2)))
@@ -179,13 +192,14 @@ class TestFuseUpdate:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(16)
-        xs = [rng.normal(size=(2, 3, 2)) for _ in range(3)]
+        xs = [rng.normal(size=(2, 2, 3, 2)) for _ in range(3)]
         w = rng.normal(size=(6, 2))
         out = fuse_update(Tensor(xs[0]), Tensor(xs[1]), Tensor(xs[2]), Tensor(w))
         stacked = np.concatenate(xs, axis=-1)
         for t in range(2):
             for n in range(3):
-                assert np.allclose(out.data[t, n], stacked[t, n] @ w, atol=1e-12)
+                expected = np.concatenate([stacked[t, h, n] @ w for h in range(2)])
+                assert np.allclose(out.data[t, n], expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -210,11 +224,12 @@ class TestHgaForward:
 
         from poselift.numerics import batch_norm, gelu, layer_norm
         x_in = layer_norm(x, params.ln_gamma, params.ln_beta)
-        x_a, x_b = project_ab(x_in, params)
+        x_a, x_b = linear(x_in, params.w_a), linear(x_in, params.w_b)
         adj_total = Tensor(adj) + params.learnable_adj
         fused = []
-        for h in range(2):
-            a_h, b_h = x_a[..., 2 * h : 2 * h + 2], x_b[..., 2 * h : 2 * h + 2]
+        for h in range(2):  # one head at a time, on a head axis of length 1
+            a_h = x_a[..., 2 * h : 2 * h + 2].reshape(2, 1, 3, 2)
+            b_h = x_b[..., 2 * h : 2 * h + 2].reshape(2, 1, 3, 2)
             hyb = aggregate_hybrid(b_h, adj_total)
             att = hybrid_cross_attention(a_h, hyb, params)
             joint = npsc(a_h, b_h)

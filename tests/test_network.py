@@ -23,20 +23,25 @@ def tiny_config(channels_in=2, depth=1):
                        depth=depth, ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.0)
 
 
-def tape_nodes(root):
-    """Nodes reachable from `root` through the recorded parents.
+def tape_counts(root):
+    """Nodes reachable from `root` and the bytes of the arrays they own.
 
-    The same walk as perfbench's ``workloads.tape_counts``, kept here
+    The same walk as perfbench's ``workloads.tape_counts`` (a view is
+    charged to the array that owns its memory, each owner once), kept here
     because the benchmark's directory is not an importable package and the
     unit tests put only ``src`` on the path.
     """
-    seen, stack = set(), [root]
+    seen, owners, stack = set(), {}, [root]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            base = node.data
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            owners[id(base)] = base.nbytes
             stack.extend(node._parents)
-    return len(seen)
+    return len(seen), sum(owners.values())
 
 
 def desk_config(channels_in=5, depth=2, frames=27):
@@ -191,8 +196,9 @@ class TestPoseLifter:
         assert err < 1e-4
 
     def test_training_tape_node_count(self):
-        # Regression guard for the fused attention, normalisation and
-        # dropout nodes: 237 nodes, 94 of them Parameters.  A change here
+        # Regression guard for the fused attention, normalisation, head
+        # split and merge, and residual dropout nodes: 177 nodes, 94 of
+        # them Parameters, whose arrays hold 59,664 bytes.  A change here
         # means the layers record a different tape.
         cfg = ModelConfig(frames=3, joints=3, channels_in=2, embed_dim=4, depth=1,
                           ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.25)
@@ -200,7 +206,7 @@ class TestPoseLifter:
         x = np.random.default_rng(0).normal(size=(2, 3, 3, 2))
         out = model.forward(x, training=True, rng=np.random.default_rng(1))
         assert len(model.parameters()) == 94
-        assert tape_nodes(out) == 237
+        assert tape_counts(out) == (177, 59664)
 
     def test_activations_finite_across_seeds(self):
         model = PoseLifter(tiny_config(), chain_skeleton(), seed=9)

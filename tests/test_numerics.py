@@ -387,6 +387,116 @@ class TestTensorBasics:
             assert np.array_equal(x.grad, seed * mask.astype(dtype))
 
 
+class TestFusedNodes:
+    """The head split, head merge and residual dropout nodes against the
+    composed operations they replace, bit for bit: forward, every input
+    and parameter gradient, and the generator state after the draw."""
+
+    @staticmethod
+    def split(t, heads):
+        shape = t.data.shape
+        return t.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
+
+    @staticmethod
+    def merge(t):
+        t = t.swapaxes(-3, -2)
+        return t.reshape(t.data.shape[:-2] + (-1,))
+
+    @staticmethod
+    def leaves(rng, *shapes):
+        """Two lists of leaf Tensors holding the same values."""
+        values = [rng.normal(size=shape) for shape in shapes]
+        return tuple([Tensor(v, requires_grad=True) for v in values] for _ in range(2))
+
+    def assert_same(self, fused, composed, g, fused_inputs, composed_inputs):
+        fused.backward(g)
+        composed.backward(g)
+        assert_bitwise_equal(fused.data, composed.data)
+        for a, b in zip(fused_inputs, composed_inputs):
+            assert_bitwise_equal(a.grad, b.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [12, 256])  # batched and flat forward GEMM
+    def test_head_split_equals_reshape_swapaxes(self, dtype, width):
+        rng = np.random.default_rng(60)
+        with precision(dtype):
+            shapes = ((2, 5, 7, width), (width, width), (width,))
+            fused_in, composed_in = self.leaves(rng, *shapes)
+            fused = linear(*fused_in, heads=4)
+            composed = self.split(linear(*composed_in), 4)
+            g = rng.normal(size=fused.data.shape).astype(dtype)
+            self.assert_same(fused, composed, g, fused_in, composed_in)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_head_merge_equals_swapaxes_reshape(self, dtype):
+        rng = np.random.default_rng(61)
+        with precision(dtype):
+            qkv = ((2, 5, 3, 7, 4),) * 3
+            fused_in, composed_in = self.leaves(rng, *qkv)
+            fused = scaled_dot_attention(*fused_in, merge_heads=True)
+            composed = self.merge(scaled_dot_attention(*composed_in))
+            g = rng.normal(size=fused.data.shape).astype(dtype)
+            self.assert_same(fused, composed, g, fused_in, composed_in)
+
+            xw = ((2, 5, 3, 7, 12), (12, 4))
+            fused_in, composed_in = self.leaves(rng, *xw)
+            fused = linear(*fused_in, merge_heads=True)
+            composed = self.merge(linear(*composed_in))
+            g = rng.normal(size=fused.data.shape).astype(dtype)
+            self.assert_same(fused, composed, g, fused_in, composed_in)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("training, rate", [(True, 0.25), (True, 0.0), (False, 0.25)])
+    def test_residual_dropout_equals_dropout_then_add(self, dtype, project, training, rate):
+        rng = np.random.default_rng(62)
+        with precision(dtype):
+            shapes = ((2, 5, 7, 12), (12, 12), (12,), (2, 5, 7, 12))
+            fused_in, composed_in = self.leaves(rng, *shapes)
+            x, w, b, residual = fused_in
+            fused_rng, composed_rng = np.random.default_rng(63), np.random.default_rng(63)
+            fused = dropout(x, rate, fused_rng, training, residual=residual,
+                            w=w if project else None, b=b if project else None)
+            x, w, b, residual = composed_in
+            value = linear(x, w, b) if project else x
+            composed = residual + dropout(value, rate, composed_rng, training)
+            g = rng.normal(size=fused.data.shape).astype(dtype)
+            used = (0, 1, 2, 3) if project else (0, 3)
+            self.assert_same(fused, composed, g, [fused_in[i] for i in used],
+                             [composed_in[i] for i in used])
+            # one draw of the mask, and none when nothing is dropped
+            drawn = np.random.default_rng(63)
+            if training and rate > 0:
+                drawn.random(fused.data.shape)
+            assert fused_rng.bit_generator.state == drawn.bit_generator.state
+            assert composed_rng.bit_generator.state == drawn.bit_generator.state
+
+    def test_gradients(self):
+        rng = np.random.default_rng(64)
+        x, w, b, residual = (rng.normal(size=shape) for shape in
+                             ((2, 3, 4), (4, 4), (4,), (2, 3, 4)))
+        seed = rng.normal(size=(2, 2, 3, 2))
+        assert grad_check(lambda s, t, u: (linear(s, t, u, heads=2) * seed).sum(),
+                          [x, w, b]) < 1e-4
+        merged_seed = seed.reshape(2, 3, 4)
+        assert grad_check(lambda s, t: (linear(s, t, merge_heads=True) * merged_seed).sum(),
+                          [rng.normal(size=(2, 2, 3, 3)), rng.normal(size=(3, 2))]) < 1e-4
+        assert grad_check(lambda q, k, v: (scaled_dot_attention(q, k, v, merge_heads=True)
+                                           * merged_seed).sum(),
+                          [rng.normal(size=(2, 2, 3, 2)) for _ in range(3)]) < 1e-4
+        for project in (True, False):
+            def fn(s, t, u, r):
+                return (dropout(s, 0.25, np.random.default_rng(65), True, residual=r,
+                                w=t if project else None, b=u if project else None)
+                        * merged_seed).sum()
+            assert grad_check(fn, [x, w, b, residual]) < 1e-4
+
+    def test_residual_shape_error(self):
+        with pytest.raises(ShapeError):
+            dropout(Tensor(np.zeros((2, 3, 4))), 0.25, np.random.default_rng(0), True,
+                    residual=Tensor(np.zeros((2, 3, 5))))
+
+
 class TestCheckpointFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
