@@ -6,9 +6,8 @@ from .errors import (ConfigError, DataError, DivergenceError, FormatError,
                      GraphStructureError, PoseLiftError, ProjectionError,
                      ShapeError, ShapeOverflowError, TruncatedFileError)
 from .skeleton import (HybridAdjacency, SkeletonGraph, build_hybrid_adjacency,
-                       human36m_skeleton, hybrid_skeleton_matrix, khop_adjacency,
-                       load_skeleton, save_skeleton, shortest_path_hops,
-                       symmetric_matrix)
+                       human36m_skeleton, khop_adjacency, load_skeleton, save_skeleton,
+                       shortest_path_hops, symmetric_matrix)
 from .numerics import (Parameter, Tensor, batch_norm, cat,
                        dropout, gelu, grad_check, l2norm_last, layer_norm,
                        linear, load_checkpoint, no_grad, precision,

@@ -175,8 +175,8 @@ def generate_motion(skeleton: SkeletonGraph, frames: int, fps: float = 50.0,
     """
     if frames < 1:
         raise ConfigError(f"frames must be >= 1, got {frames}")
-    if fps <= 0:
-        raise ConfigError(f"fps must be > 0, got {fps}")
+    if not (np.isfinite(fps) and fps > 0):
+        raise ConfigError(f"fps must be finite and > 0, got {fps}")
     rng = np.random.default_rng(seed)
     if motion_spec is None:
         motion_spec = random_motion_spec(skeleton, rng)
@@ -286,16 +286,10 @@ class NoiseConfig:
         return std
 
 
-def inject_noise(seq3d, cfg: NoiseConfig, rng: np.random.Generator):
-    """Add i.i.d. zero-mean Gaussian noise per coordinate, group-wise std,
-    drawn from `rng`.
-
-    Accepts a PoseSequence or a (..., N, 3) array and returns the same
-    kind; the input is never modified.
-    """
-    if isinstance(seq3d, PoseSequence):
-        return PoseSequence(values=inject_noise(seq3d.values, cfg, rng), fps=seq3d.fps)
-    values = np.asarray(seq3d, dtype=np.float64)
+def inject_noise(values: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+    """Add i.i.d. zero-mean Gaussian noise per coordinate of a (..., N, 3)
+    array, group-wise std, drawn from `rng`; the input is never modified."""
+    values = np.asarray(values, dtype=np.float64)
     std = cfg.per_joint_std(values.shape[-2])
     noise = rng.normal(size=values.shape) * std[:, None]
     return values + noise

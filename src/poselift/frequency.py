@@ -138,15 +138,15 @@ def freq_loss(y_hat, y, cfg: FreqLossConfig | None = None) -> Tensor:
     return _weighted_mean(terms, _joint_weights(joints, cfg.joint_weights), frames * joints)
 
 
-def freq_loss_spatial_axis(y_hat, y, joint_weights=None) -> Tensor:
+def freq_loss_spatial_axis(y_hat, y) -> Tensor:
     """Ablation baseline: whole-spectrum norms per spatial axis.
 
-    (1 / 3N) sum_c sum_n W_n || F_hat_{n,c} - F_{n,c} ||_2 with the norm
-    over all T coefficients of one axis's trajectory.
+    (1 / 3N) sum_c sum_n || F_hat_{n,c} - F_{n,c} ||_2 with the norm over
+    all T coefficients of one axis's trajectory.
     """
     y_hat, y = _pose_pair(y_hat, y)
     joints = y_hat.data.shape[-2]
     diff = trajectory_spectrum(y_hat) - trajectory_spectrum(y)
     # norm over the frequency axis: (..., T, N, 3) -> (..., 3, N, T) -> (..., 3, N)
     per_axis = l2norm_last(diff.swapaxes(-3, -1))
-    return _weighted_mean(per_axis, _joint_weights(joints, joint_weights), 3.0 * joints)
+    return _weighted_mean(per_axis, None, 3.0 * joints)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data as data_mod
 from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward
+from .losses import LossWeights
 from .numerics import (Module, Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
                        linear, no_grad, scaled_dot_attention, uniform_init)
-from .skeleton import SkeletonGraph, build_hybrid_adjacency
+from .skeleton import SkeletonGraph, _hybrid_weights, build_hybrid_adjacency
 
 
 @dataclass
@@ -52,15 +52,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.channels_in not in (2, 5):
             raise ConfigError(f"channels_in must be 2 or 5, got {self.channels_in}")
-        for name in ("frames", "joints", "embed_dim", "depth", "ff_expansion", "hop_count"):
+        for name in ("frames", "joints", "embed_dim", "depth", "ff_expansion"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.hop_weights is None:
-            self.hop_weights = tuple(1.0 for _ in range(self.hop_count))
-        else:
-            self.hop_weights = tuple(float(w) for w in self.hop_weights)
-        if len(self.hop_weights) != self.hop_count:
-            raise ConfigError(f"{len(self.hop_weights)} hop weights for hop_count {self.hop_count}")
+        self.hop_weights, _ = _hybrid_weights(self.hop_count, self.hop_weights)
         hga = self.hga_heads if self.hga_heads is not None else default_head_count(self.embed_dim)
         for name, heads in (("ste_heads", self.ste_heads), ("tte_heads", self.tte_heads),
                             ("hga_heads", hga)):
@@ -72,6 +67,12 @@ class ModelConfig:
             self.joint_weights = tuple(float(w) for w in self.joint_weights)
             if len(self.joint_weights) != self.joints:
                 raise ConfigError(f"{len(self.joint_weights)} joint weights for {self.joints} joints")
+        self.loss_weights()
+
+    def loss_weights(self) -> LossWeights:
+        """The composite loss's weights; refuses a negative or non-finite one."""
+        return LossWeights(lambda_t=self.lambda_t, lambda_m=self.lambda_m,
+                           lambda_f=self.lambda_f, joint_weights=self.joint_weights)
 
 
 class EncoderParams(Module):
@@ -213,16 +214,12 @@ class PoseLifter(Module):
         return regression_head(e, self.w_head, self.b_head)
 
 
-def two_stage_forward(x2d, preliminary: PoseLifter, main: PoseLifter,
-                      noise_cfg: data_mod.NoiseConfig | None = None,
-                      rng: np.random.Generator | None = None,
-                      training: bool = False) -> Tensor:
-    """Preliminary 3D estimate, optional group-wise noise, concat, main lift.
+def two_stage_forward(x2d, preliminary: PoseLifter, main: PoseLifter) -> Tensor:
+    """Preliminary 3D estimate, concat with the 2D input, main lift.
 
-    The preliminary network runs detached (no gradient flows back into
-    it); with no noise config or all-zero stds the output is a
-    deterministic function of the 2D input.  A noise config needs `rng`,
-    which draws the noise.
+    The clean eval pipeline: the preliminary network runs detached (no
+    gradient flows back into it), and the output is a deterministic
+    function of the 2D input.
     """
     if preliminary.config.channels_in != 2:
         raise ConfigError("first-stage model must take 2 channels")
@@ -233,7 +230,5 @@ def two_stage_forward(x2d, preliminary: PoseLifter, main: PoseLifter,
     x2d = as_tensor(x2d)
     with no_grad():
         y_pre = preliminary.forward(x2d.detach()).data
-    if noise_cfg is not None:
-        y_pre = data_mod.inject_noise(y_pre, noise_cfg, rng)
     x5 = np.concatenate([x2d.data, y_pre], axis=-1)
-    return main.forward(x5, training=training, rng=rng)
+    return main.forward(x5)

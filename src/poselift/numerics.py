@@ -600,9 +600,12 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
     return Tensor._node(out_data, (q, k, v), bw)
 
 
-def _normalize(x: Tensor, gamma, beta, axes: tuple | None, eps: float,
-               stats: tuple | None = None) -> tuple:
-    """Shared LN/BN node: y = (x - mean) / sqrt(var + eps) * gamma + beta.
+NORM_EPS = 1e-5        # added to the variance by layer and batch norm
+BN_MOMENTUM = 0.1      # weight of the batch in batch norm's running statistics
+
+
+def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None = None) -> tuple:
+    """Shared LN/BN node: y = (x - mean) / sqrt(var + NORM_EPS) * gamma + beta.
 
     The statistics are taken over `axes` and differentiated through, unless
     `stats` gives (mean, var) as constants (batch norm's eval mode).  With
@@ -631,7 +634,7 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, eps: float,
     else:
         mu, var = stats
         xhat = x.data - mu.astype(dtype, copy=False)
-    inv = (1.0 / np.sqrt(var + eps)).astype(dtype, copy=False)
+    inv = (1.0 / np.sqrt(var + NORM_EPS)).astype(dtype, copy=False)
     xhat *= inv
     out_data = xhat
     if gamma is not None:
@@ -662,32 +665,33 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, eps: float,
     return Tensor._node(out_data, parents, bw), mu, var
 
 
-def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma=None, beta=None) -> Tensor:
     """Normalize over the trailing feature axis to mean 0 / variance 1,
     then scale by `gamma` and shift by `beta`, all in one node."""
-    return _normalize(as_tensor(x), gamma, beta, (-1,), eps)[0]
+    return _normalize(as_tensor(x), gamma, beta, (-1,))[0]
 
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Normalize per trailing-axis channel over all leading axes.
 
     In training mode the batch statistics normalize and the running
-    arrays are updated in place (unbiased variance, like the usual
-    momentum convention); in eval mode the running statistics normalize.
-    Either way the result, with `gamma` and `beta` applied, is one node.
+    arrays are updated in place with weight ``BN_MOMENTUM`` (unbiased
+    variance, like the usual momentum convention); in eval mode the
+    running statistics normalize.  Either way the result, with `gamma`
+    and `beta` applied, is one node.
     """
     x = as_tensor(x)
     if not training:
-        return _normalize(x, gamma, beta, None, eps, stats=(running_mean, running_var))[0]
+        return _normalize(x, gamma, beta, None, stats=(running_mean, running_var))[0]
     axes = tuple(range(x.data.ndim - 1))
-    y, mu, var = _normalize(x, gamma, beta, axes, eps)
+    y, mu, var = _normalize(x, gamma, beta, axes)
     n = x.data.size // x.data.shape[-1]
     correction = n / max(n - 1, 1)
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu.reshape(-1)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var.reshape(-1) * correction
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu.reshape(-1)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var.reshape(-1) * correction
     return y
 
 
@@ -755,8 +759,12 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
 # -- gradient verification -------------------------------------------------
 
 
-def grad_check(fn, inputs, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+GRAD_CHECK_STEP = 1e-5
+
+
+def grad_check(fn, inputs) -> float:
+    """Max relative error between analytic and central-difference gradients
+    with step ``GRAD_CHECK_STEP``.
 
     `fn` is called as fn(*tensors) and must return a Tensor; non-scalar
     outputs are reduced by summation.  `inputs` may be ndarrays or Tensors
@@ -791,14 +799,14 @@ def grad_check(fn, inputs, eps: float = 1e-5) -> float:
         aflat = analytic[i].reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + eps
+            flat[j] = orig + GRAD_CHECK_STEP
             f_plus = evaluate()
-            flat[j] = orig - eps
+            flat[j] = orig - GRAD_CHECK_STEP
             f_minus = evaluate()
             flat[j] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise DivergenceError(f"grad_check: non-finite value perturbing input {i} coordinate {j}")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             err = abs(aflat[j] - numeric) / max(1.0, abs(numeric))
             if err > worst:
                 worst = err

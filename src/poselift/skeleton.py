@@ -142,9 +142,9 @@ def symmetric_matrix(graph: SkeletonGraph) -> np.ndarray:
     return sym
 
 
-def _hybrid_weights(hop_count: int, hop_weights, sym_weight) -> tuple:
-    """Checked (hop_weights, sym_weight) as floats; hop weights default to
-    ones and the symmetric weight to half the last hop weight."""
+def _hybrid_weights(hop_count: int, hop_weights) -> tuple:
+    """Checked (hop_weights, sym_weight) as floats: the hop weights default
+    to ones, and the symmetric weight is half the last hop weight."""
     if hop_count < 1:
         raise ConfigError(f"hop_count must be >= 1, got {hop_count}")
     hop_weights = tuple(float(w) for w in ([1.0] * hop_count if hop_weights is None else hop_weights))
@@ -153,23 +153,7 @@ def _hybrid_weights(hop_count: int, hop_weights, sym_weight) -> tuple:
     for w in hop_weights:
         if not 0.0 < w <= 1.0:
             raise ConfigError(f"hop weights must lie in (0,1], got {w}")
-    return hop_weights, hop_weights[-1] / 2.0 if sym_weight is None else float(sym_weight)
-
-
-def hybrid_skeleton_matrix(graph: SkeletonGraph, hop_count: int, hop_weights,
-                           sym_weight: float | None = None) -> np.ndarray:
-    """Weighted sum of k-hop adjacencies plus the symmetric-pair matrix.
-
-    Returns sum_k w_k * A^k + w_sym * A_sym where w_sym defaults to half
-    the last hop weight.  The diagonal stays zero: hop 0 contributes
-    nothing by construction.
-    """
-    hop_weights, sym_weight = _hybrid_weights(hop_count, hop_weights, sym_weight)
-    hops = shortest_path_hops(graph)
-    out = sym_weight * symmetric_matrix(graph)
-    for k in range(1, hop_count + 1):
-        out = out + hop_weights[k - 1] * khop_adjacency(hops, k)
-    return out
+    return hop_weights, hop_weights[-1] / 2.0
 
 
 @dataclass(frozen=True)
@@ -186,10 +170,19 @@ class HybridAdjacency:
 
 
 def build_hybrid_adjacency(graph: SkeletonGraph, hop_count: int = 2,
-                           hop_weights=None, sym_weight: float | None = None) -> HybridAdjacency:
-    hop_weights, sym_weight = _hybrid_weights(hop_count, hop_weights, sym_weight)
-    return HybridAdjacency(skeletal=hybrid_skeleton_matrix(graph, hop_count, hop_weights, sym_weight),
-                           hop_weights=hop_weights, sym_weight=sym_weight)
+                           hop_weights=None) -> HybridAdjacency:
+    """Weighted sum of k-hop adjacencies plus the symmetric-pair matrix.
+
+    The skeletal matrix is sum_k w_k * A^k + w_sym * A_sym, with w_sym half
+    the last hop weight.  The diagonal stays zero: hop 0 contributes
+    nothing by construction.
+    """
+    hop_weights, sym_weight = _hybrid_weights(hop_count, hop_weights)
+    hops = shortest_path_hops(graph)
+    skeletal = sym_weight * symmetric_matrix(graph)
+    for k in range(1, hop_count + 1):
+        skeletal = skeletal + hop_weights[k - 1] * khop_adjacency(hops, k)
+    return HybridAdjacency(skeletal=skeletal, hop_weights=hop_weights, sym_weight=sym_weight)
 
 
 # -- the 17-joint preset -------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, DataError, DivergenceError, config_from_dict
-from .losses import LossWeights, total_loss
+from .losses import total_loss
 from .metrics import EvalReport, evaluate_sequences, mpjpe, root_relative
 from .network import ModelConfig, PoseLifter, two_stage_forward
 from .numerics import load_checkpoint, no_grad, precision, save_checkpoint
@@ -85,6 +85,8 @@ class TrainConfig:
                                                         "depth": self.model.depth + 1})
             if self.preliminary_model.depth <= self.model.depth:
                 raise ConfigError("the preliminary network must be deeper than the main one")
+            if self.noise is not None:
+                self.noise.validate_partition(self.model.joints)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -116,16 +118,20 @@ class TrainConfig:
 # -- optimizer -----------------------------------------------------------------
 
 
-def adamw_step(params, grads, state: AdamW, lr: float,
-               betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def adamw_step(params, grads, state: AdamW, lr: float, weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
-    `state` holds the moment lists ``m``, ``v`` and the step count ``t``.
-    Weight decay multiplies the parameter directly (1 - lr*wd); the
-    gradient only feeds the bias-corrected moment estimates.  Any
-    non-finite gradient rejects the whole step.
+    `state` holds the moment lists ``m``, ``v`` and the step count ``t``;
+    the moment decays are ``ADAM_BETAS`` and the denominator's guard is
+    ``ADAM_EPS``.  Weight decay multiplies the parameter directly
+    (1 - lr*wd); the gradient only feeds the bias-corrected moment
+    estimates.  Any non-finite gradient rejects the whole step.
     """
-    beta1, beta2 = betas
+    beta1, beta2 = ADAM_BETAS
     for p, g in zip(params, grads):
         if g is not None and not np.isfinite(g).all():
             name = getattr(p, "name", "<tensor>")
@@ -142,19 +148,16 @@ def adamw_step(params, grads, state: AdamW, lr: float,
         v += (1.0 - beta2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data = p.data * (1.0 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data = p.data * (1.0 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class AdamW:
     """``adamw_step`` over a fixed parameter list, holding its own moment
     estimates ``m``, ``v`` and step count ``t``."""
 
-    def __init__(self, params, lr: float = 1e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float = 1e-4, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -162,8 +165,7 @@ class AdamW:
 
     def step(self, lr: float | None = None) -> None:
         grads = [p.grad for p in self.params]
-        adamw_step(self.params, grads, self, self.lr if lr is None else lr,
-                   self.betas, self.eps, self.weight_decay)
+        adamw_step(self.params, grads, self, self.lr if lr is None else lr, self.weight_decay)
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -207,19 +209,18 @@ def load_dataset(data_dir) -> tuple:
     return sequences, [p.stem for p in paths], skeleton
 
 
-def prepare_pairs(sequences, skeleton: SkeletonGraph, camera: data_mod.Camera | None = None,
-                  root_center: bool = True) -> tuple:
-    """Project each mm world sequence to 2D and normalize the 3D target.
+def prepare_pairs(sequences, skeleton: SkeletonGraph, root_center: bool = True) -> tuple:
+    """Project each mm world sequence to 2D through the default camera and
+    normalize the 3D target.
 
     Returns (x2d, y) arrays of shape (S, T, N, 2) and (S, T, N, 3); the
     target is root-relative (optional) and scaled from mm to meters.
     """
-    camera = camera or data_mod.Camera()
     x2d, y = [], []
     for seq in sequences:
         if seq.channels != 3:
             raise DataError(f"training sequences must be 3D, got {seq.channels} channels")
-        x2d.append(data_mod.project_2d(seq, camera).values)
+        x2d.append(data_mod.project_2d(seq).values)
         world = seq.values
         target = root_relative(world, skeleton.root_index) if root_center else world
         y.append(target / MM_PER_UNIT)
@@ -286,9 +287,6 @@ def train(cfg: TrainConfig) -> TrainResult:
 
 def _train_inner(cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     sequences, names, skeleton = load_dataset(cfg.data_dir)
     frames = sequences[0].frames
     if frames != cfg.model.frames:
@@ -303,8 +301,7 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
         raise DataError("validation split leaves no training sequences")
 
     model, preliminary = _stage_models(cfg, skeleton)
-    weights = LossWeights(lambda_t=cfg.model.lambda_t, lambda_m=cfg.model.lambda_m,
-                          lambda_f=cfg.model.lambda_f, joint_weights=cfg.model.joint_weights)
+    weights = cfg.model.loss_weights()
     params = model.parameters()
     optimizer = AdamW(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
 
@@ -314,6 +311,8 @@ def _train_inner(cfg: TrainConfig) -> TrainResult:
         with no_grad():
             pre_cache = preliminary.forward(x2d_all).data.astype(np.float64)
 
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "loss_log.csv"
     best_path = out_dir / "best.ckpt"
     last_path = out_dir / "last.ckpt"

@@ -22,9 +22,8 @@ from poselift.network import (EncoderParams, ModelConfig, PoseLifter,
                               encoder_forward, spatial_block_forward,
                               temporal_block_forward)
 from poselift.numerics import Tensor, grad_check
-from poselift.skeleton import (SkeletonGraph, human36m_skeleton,
-                               hybrid_skeleton_matrix, khop_adjacency,
-                               symmetric_matrix)
+from poselift.skeleton import (SkeletonGraph, build_hybrid_adjacency, human36m_skeleton,
+                               khop_adjacency, symmetric_matrix)
 from poselift.training import TrainConfig, train
 
 
@@ -94,8 +93,8 @@ def test_gradient_suite():
     errors["total_loss"] = grad_check(lambda t: total_loss(t, y_ref, weights).total, [y_hat])
 
     params = HgaParams(joints=3, channels=4, heads=2, rng=rng, prefix="acc")
-    adj = hybrid_skeleton_matrix(
-        SkeletonGraph(joint_count=3, edges=[(0, 1), (1, 2)]), 2, [1.0, 1.0])
+    adj = build_hybrid_adjacency(
+        SkeletonGraph(joint_count=3, edges=[(0, 1), (1, 2)]), 2, [1.0, 1.0]).skeletal
     x = rng.normal(size=(2, 3, 4))
     errors["hga_forward"] = grad_check(
         lambda *ps: hga_forward(Tensor(x), params, adj, training=True), params.parameters())
@@ -133,7 +132,7 @@ def test_gradient_suite():
 def test_adjacency_oracle():
     graph = human36m_skeleton()
     alpha = (1.0, 0.8)
-    produced = hybrid_skeleton_matrix(graph, 2, alpha)
+    produced = build_hybrid_adjacency(graph, 2, alpha).skeletal
 
     dense = np.zeros((17, 17))
     for i, j in graph.edges:
@@ -158,7 +157,7 @@ def test_attention_normalization():
     rng = np.random.default_rng(3)
     params = HgaParams(joints=5, channels=8, heads=2, rng=rng, prefix="attn")
     graph = SkeletonGraph(joint_count=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
-    adj = hybrid_skeleton_matrix(graph, 2, [1.0, 1.0])
+    adj = build_hybrid_adjacency(graph, 2, [1.0, 1.0]).skeletal
     worst = 0.0
     for seed in range(50):
         sink = []

@@ -45,7 +45,7 @@ class TestInspectAdjacency:
         assert "# hybrid matrix" in out
         block = out.split("# hybrid matrix")[1].strip().splitlines()[1:]
         matrix = np.array([[float(v) for v in row.split(",")] for row in block])
-        expected = pl.hybrid_skeleton_matrix(pl.human36m_skeleton(), 2, [1.0, 1.0])
+        expected = pl.build_hybrid_adjacency(pl.human36m_skeleton(), 2, [1.0, 1.0]).skeletal
         assert np.allclose(matrix, expected)
 
     def test_custom_skeleton_file(self, tmp_path, capsys):
@@ -244,13 +244,30 @@ def test_strict_checkpoint_loading(tmp_path, capsys, corrupt, error, exit_code):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
-def _config_doc(tmp_path, **changes):
-    """A valid preliminary config on a generated 2-sequence dataset, edited."""
+def _config_doc(tmp_path, model_changes=None, **changes):
+    """A valid preliminary config on a generated 2-sequence dataset, edited:
+    `changes` replace its fields and `model_changes` those of its model."""
     data_dir = tmp_path / "ds"
     run(["gen-data", "--out", data_dir, "--count", 2, "--frames", 9])
     path = write_train_config(tmp_path, data_dir, tmp_path / "run")
-    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    doc = {**json.loads(path.read_text()), **changes}
+    if model_changes:
+        doc["model"] = {**doc["model"], **model_changes}
+    path.write_text(json.dumps(doc))
     return path
+
+
+def _eval_fresh_checkpoint(tmp_path, **model_changes):
+    """eval of a freshly initialised checkpoint of the config's model, under
+    the config with its model's fields edited."""
+    path = _config_doc(tmp_path)
+    doc = json.loads(path.read_text())
+    checkpoint = tmp_path / "fresh.ckpt"
+    model = PoseLifter(ModelConfig(**doc["model"]), pl.human36m_skeleton())
+    pl.save_checkpoint(model.state_dict(), checkpoint)
+    doc["model"].update(model_changes)
+    path.write_text(json.dumps(doc))
+    return ["eval", "--config", path, "--checkpoint", checkpoint]
 
 
 def _mixed_dataset(tmp_path):
@@ -336,6 +353,20 @@ MALFORMED_INPUTS = {
     "gen-data count 0": (lambda p: ["gen-data", "--out", p / "g", "--count", 0], 2, "--count"),
     "gen-data negative seed": (lambda p: ["gen-data", "--out", p / "g", "--seed", -1], 2,
                                "--seed"),
+    "gen-data fps nan": (lambda p: ["gen-data", "--out", p / "g", "--fps", "nan"], 2, "fps"),
+    "gen-data fps inf": (lambda p: ["gen-data", "--out", p / "g", "--fps", "inf"], 2, "fps"),
+    "negative lambda_t": (lambda p: ["train", "--config", _config_doc(p, {"lambda_t": -5.0})], 2,
+                          "lambda_t"),
+    "negative joint weights": (lambda p: ["train", "--config", _config_doc(
+        p, {"joint_weights": [-1.0] * 17})], 2, "joint weights"),
+    "hop weight above 1": (lambda p: ["train", "--config", _config_doc(
+        p, {"hop_weights": [1.0, 2.0]})], 2, "hop weights"),
+    "eval negative lambda_t": (lambda p: _eval_fresh_checkpoint(p, lambda_t=-5.0), 2, "lambda_t"),
+    "eval negative joint weights": (lambda p: _eval_fresh_checkpoint(
+        p, joint_weights=[-1.0] * 17), 2, "joint weights"),
+    "main-stage noise groups not a partition": (lambda p: ["train", "--config", _config_doc(
+        p, {"channels_in": 5}, stage="main",
+        noise={"groups": [[0, 1], [2]], "stds": [0.1, 0.2]})], 2, "partition"),
 }
 
 
@@ -344,9 +375,12 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exit_codes(tmp_path, argv, exit_code, named):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-m", "poselift.cli", *map(str, argv(tmp_path))],
+    argv = [str(a) for a in argv(tmp_path)]
+    result = subprocess.run([sys.executable, "-m", "poselift.cli", *argv],
                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == exit_code, result.stderr
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert named in result.stderr
+    if argv[0] == "train":  # a refused run leaves no run directory behind
+        assert not (tmp_path / "run").exists()

@@ -64,6 +64,11 @@ class TestGenerateMotion:
         with pytest.raises(ConfigError):
             generate_motion(human36m_skeleton(), frames=0, seed=0)
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_fps(self, fps):
+        with pytest.raises(ConfigError, match="fps"):
+            generate_motion(human36m_skeleton(), frames=3, fps=fps, seed=0)
+
 
 class TestProjection:
     def test_optical_axis_maps_to_principal_point(self):
@@ -141,12 +146,6 @@ class TestNoise:
     def test_non_sequence_groups_or_stds_rejected(self, fields):
         with pytest.raises(ConfigError, match="noise groups"):
             NoiseConfig(**fields)
-
-    def test_pose_sequence_round_trip(self):
-        seq = PoseSequence(values=np.zeros((4, 17, 3)), fps=25.0)
-        out = inject_noise(seq, NoiseConfig(), np.random.default_rng(1))
-        assert isinstance(out, PoseSequence)
-        assert out.fps == 25.0
 
 
 class TestSequenceFiles:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from poselift.errors import ConfigError, ShapeError
-from poselift.frequency import FreqLossConfig, freq_loss, freq_loss_spatial_axis
+from poselift.frequency import (FreqLossConfig, _weighted_mean, freq_loss,
+                                freq_loss_spatial_axis, trajectory_spectrum)
 from poselift.losses import LossWeights, mpjve_loss, tc_loss, total_loss, wmpjpe
-from poselift.numerics import Tensor, grad_check, precision
+from poselift.numerics import Tensor, grad_check, l2norm_last, precision
 
 
 def random_rotation(seed):
@@ -176,6 +177,13 @@ def tape_nodes(root) -> int:
     return len(seen)
 
 
+def weighted_spatial_axis(y_hat, y, w):
+    """The per-spatial-axis loss with joint weights `w`, built as
+    `freq_loss_spatial_axis` builds its unweighted form."""
+    diff = trajectory_spectrum(y_hat) - trajectory_spectrum(y)
+    return _weighted_mean(l2norm_last(diff.swapaxes(-3, -1)), w, 3.0 * len(w))
+
+
 def test_loss_fingerprint():
     rng = np.random.default_rng(20)
     start, y = rng.normal(size=(2, 2, 9, 4, 3))
@@ -190,7 +198,7 @@ def test_loss_fingerprint():
         lambda t: freq_loss(t, y, FreqLossConfig(truncation="top", keep=3, joint_weights=w)),
         lambda t: freq_loss(t, y, FreqLossConfig(truncation="low_weighted", keep=3,
                                                  down_weight=0.5, joint_weights=w)),
-        lambda t: freq_loss_spatial_axis(t, y, w),
+        lambda t: weighted_spatial_axis(t, y, w),
         lambda t: total_loss(t, y, LossWeights(joint_weights=w)).total,
     ]
     digest = hashlib.sha256()

@@ -4,12 +4,16 @@ from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
 from poselift.errors import ConfigError, GraphStructureError
 from poselift.skeleton import (SkeletonGraph, build_hybrid_adjacency, human36m_skeleton,
-                               hybrid_skeleton_matrix, khop_adjacency, load_skeleton,
-                               save_skeleton, shortest_path_hops, symmetric_matrix)
+                               khop_adjacency, load_skeleton, save_skeleton,
+                               shortest_path_hops, symmetric_matrix)
 
 
 def chain(n):
     return SkeletonGraph(joint_count=n, edges=[(i, i + 1) for i in range(n - 1)])
+
+
+def skeletal(graph, hop_count, hop_weights):
+    return build_hybrid_adjacency(graph, hop_count, hop_weights).skeletal
 
 
 def dense_adjacency(graph):
@@ -127,16 +131,16 @@ class TestSymmetricMatrix:
 
 class TestHybridSkeletonMatrix:
     def test_three_chain_two_hops_unit_weights(self):
-        out = hybrid_skeleton_matrix(chain(3), 2, [1.0, 1.0])
+        out = skeletal(chain(3), 2, [1.0, 1.0])
         assert out.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_two_chain_scaled(self):
-        out = hybrid_skeleton_matrix(chain(2), 1, [0.5])
+        out = skeletal(chain(2), 1, [0.5])
         assert out.tolist() == [[0, 0.5], [0.5, 0]]
 
     def test_h36m_matches_compositional_oracle(self):
         graph = human36m_skeleton()
-        out = hybrid_skeleton_matrix(graph, 2, [1.0, 1.0])
+        out = skeletal(graph, 2, [1.0, 1.0])
         hops = shortest_path_hops(graph)
         oracle = khop_adjacency(hops, 1) + khop_adjacency(hops, 2) + 0.5 * symmetric_matrix(graph)
         assert np.array_equal(out, oracle)
@@ -148,20 +152,21 @@ class TestHybridSkeletonMatrix:
         assert adj.skeletal[13, 16] == 0.4
 
     def test_linear_in_each_hop_weight(self):
-        graph = human36m_skeleton()
-        base = hybrid_skeleton_matrix(graph, 2, [0.5, 1.0], sym_weight=0.0)
-        double = hybrid_skeleton_matrix(graph, 2, [1.0, 1.0], sym_weight=0.0)
+        # the preset's bones without its symmetric pairs, so only hop terms remain
+        graph = SkeletonGraph(joint_count=17, edges=human36m_skeleton().edges)
+        base = skeletal(graph, 2, [0.5, 1.0])
+        double = skeletal(graph, 2, [1.0, 1.0])
         hops = shortest_path_hops(graph)
         one_hop = khop_adjacency(hops, 1)
         assert np.allclose(double - base, 0.5 * one_hop)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
-            hybrid_skeleton_matrix(chain(3), 0, [])
+            skeletal(chain(3), 0, [])
         with pytest.raises(ConfigError):
-            hybrid_skeleton_matrix(chain(3), 2, [1.0])
+            skeletal(chain(3), 2, [1.0])
         with pytest.raises(ConfigError):
-            hybrid_skeleton_matrix(chain(3), 1, [1.5])
+            skeletal(chain(3), 1, [1.5])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_joint_relabelling_permutes_all_matrices(self, seed):
@@ -176,7 +181,7 @@ class TestHybridSkeletonMatrix:
         )
         for fn in (lambda g: shortest_path_hops(g),
                    lambda g: symmetric_matrix(g),
-                   lambda g: hybrid_skeleton_matrix(g, 2, [1.0, 1.0])):
+                   lambda g: skeletal(g, 2, [1.0, 1.0])):
             original, relabelled = fn(graph), fn(remapped)
             # entry for relabelled joints (perm[i], perm[j]) equals original (i, j)
             assert np.array_equal(relabelled[np.ix_(perm, perm)], original)

@@ -171,6 +171,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="sedd"):
             TrainConfig.from_dict({"noise": {"sedd": 3}})
 
+    def test_main_stage_noise_must_partition_the_joints(self, tmp_path):
+        with pytest.raises(ConfigError, match="partition"):
+            tiny_train_config(tmp_path, tmp_path, stage="main",
+                              noise=pl.NoiseConfig(groups=((0, 1), (2,)), stds=(0.1, 0.2)))
+
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0, model=ModelConfig(channels_in=2, depth=3))
@@ -222,6 +227,21 @@ class TestTrainLoop:
                                 noise=pl.NoiseConfig())
         result = train(cfg)
         assert Path(result.best_checkpoint).exists()
+
+    def test_seeded_main_stage_noise_repeats_and_varies_with_the_seed(self, tmp_path):
+        data_dir = make_dataset(tmp_path)
+        pre = train(tiny_train_config(data_dir, tmp_path / "pre"))
+        runs = {}
+        for name, seed, noise in (("a", 1, pl.NoiseConfig()), ("b", 1, pl.NoiseConfig()),
+                                  ("other seed", 2, pl.NoiseConfig()), ("clean", 1, None)):
+            result = train(tiny_train_config(data_dir, tmp_path / name, stage="main", seed=seed,
+                                             noise=noise,
+                                             preliminary_checkpoint=pre.best_checkpoint))
+            runs[name] = (Path(result.log_path).read_text(),
+                          Path(result.last_checkpoint).read_bytes())
+        assert runs["a"] == runs["b"]
+        assert runs["other seed"][0] != runs["a"][0]
+        assert runs["clean"][0] != runs["a"][0]
 
     def test_validation_split_uses_tail(self, tmp_path):
         data_dir = make_dataset(tmp_path, count=5)
