@@ -84,6 +84,7 @@ def hybrid_cross_attention(x_a_h, x_hyb_h, params: HgaParams,
     q = linear(x_a_h, params.w_q)
     k = linear(x_hyb_h, params.w_k)
     v = linear(x_hyb_h, params.w_v)
+    del x_hyb_h
     return scaled_dot_attention(q, k, v, attn_sink=attn_sink)
 
 
@@ -108,6 +109,8 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
 
     Subspaces are processed as one stacked axis; the result matches
     running the per-head operations above on each contiguous channel chunk.
+    Each intermediate is dropped once its last consumer has run, so a
+    no-grad call (whose nodes keep no parents) frees it there.
     """
     x = as_tensor(x)
     if x.data.shape[-1] != params.channels or x.data.shape[-2] != params.joints:
@@ -116,10 +119,16 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
     x_in = layer_norm(x, params.ln_gamma, params.ln_beta)
     a, b = project_ab(x_in, params)
     adj_total = params.learnable_adj + Tensor(skeletal_adj)
-    hyb = aggregate_hybrid(b, adj_total)
-    hyb_att = hybrid_cross_attention(a, hyb, params, attn_sink=attn_sink)
+    hyb_att = hybrid_cross_attention(a, aggregate_hybrid(b, adj_total), params,
+                                     attn_sink=attn_sink)
+    del adj_total
     joint = npsc(a, b, attn_sink=attn_sink)
-    merged = linear(fuse_update(a, hyb_att, joint, params.w_upd), params.w_merge)
-    out = batch_norm(merged, params.bn_gamma, params.bn_beta,
+    del b
+    fused = fuse_update(a, hyb_att, joint, params.w_upd)
+    del a, hyb_att, joint
+    out = linear(fused, params.w_merge)
+    del fused
+    out = batch_norm(out, params.bn_gamma, params.bn_beta,
                      params.bn_mean, params.bn_var, training=training)
-    return gelu(out) + x_in
+    out = gelu(out)
+    return out + x_in

@@ -105,16 +105,25 @@ class EncoderParams(Module):
 
 def encoder_forward(x, params: EncoderParams, training: bool = False,
                     rng: np.random.Generator | None = None, drop_rate: float = 0.0) -> Tensor:
-    """Self-attention over the second-to-last axis, with residuals."""
+    """Self-attention over the second-to-last axis, with residuals.
+
+    Each intermediate is dropped once its last consumer has run, so a
+    no-grad call (whose nodes keep no parents) frees it there.
+    """
     x = as_tensor(x)
     h = layer_norm(x, params.ln1_gamma, params.ln1_beta)
     q = linear(h, params.w_q, params.b_q, heads=params.heads)
     k = linear(h, params.w_k, params.b_k, heads=params.heads)
     v = linear(h, params.w_v, params.b_v, heads=params.heads)
+    del h
     attended = scaled_dot_attention(q, k, v, merge_heads=True)
+    del q, k, v
     x = dropout(attended, drop_rate, rng, training, residual=x, w=params.w_o, b=params.b_o)
-    h2 = layer_norm(x, params.ln2_gamma, params.ln2_beta)
-    hidden = gelu(linear(h2, params.w_ff1, params.b_ff1))
+    del attended
+    h = layer_norm(x, params.ln2_gamma, params.ln2_beta)
+    hidden = linear(h, params.w_ff1, params.b_ff1)
+    del h
+    hidden = gelu(hidden)
     return dropout(hidden, drop_rate, rng, training, residual=x, w=params.w_ff2, b=params.b_ff2)
 
 

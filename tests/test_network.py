@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from poselift import numerics
 from poselift.errors import ConfigError, ShapeError
 from poselift.network import (EncoderParams, ModelConfig, PoseLifter, embed_input,
                               encoder_forward, regression_head,
                               spatial_block_forward, temporal_block_forward,
                               two_stage_forward)
-from poselift.numerics import Parameter, Tensor, grad_check, linear
+from poselift.numerics import Parameter, Tensor, grad_check, linear, no_grad, precision
 from poselift.skeleton import SkeletonGraph, human36m_skeleton
 from poselift.training import TrainConfig
 
@@ -41,6 +43,18 @@ def tape_counts(root):
             owners[id(base)] = base.nbytes
             stack.extend(node._parents)
     return len(seen), sum(owners.values())
+
+
+def snapshot(model):
+    return {name: np.array(value) for name, value in model.state_dict().items()}
+
+
+def assert_unchanged(model, state_before):
+    """Every parameter and buffer of `model` equals its copy in `state_before`."""
+    state = model.state_dict()
+    assert state.keys() == state_before.keys()
+    for name, value in state.items():
+        assert np.array_equal(value, state_before[name]), name
 
 
 def desk_config(channels_in=5, depth=2, frames=27):
@@ -216,6 +230,42 @@ class TestPoseLifter:
         assert len(model.parameters()) == 94
         assert tape_counts(out) == (177, 59664)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_forward_writes_nothing_and_matches_recording(self, monkeypatch, dtype):
+        # The no-grad forward finishes ops in arrays it owns and slices its
+        # attention (here into many small slices); neither may touch the
+        # input, a parameter or a batch-norm buffer, nor change one bit.
+        monkeypatch.setattr(numerics, "_ATTENTION_SLICE_BYTES", 256)
+        with precision(dtype):
+            model = PoseLifter(tiny_config(channels_in=5, depth=2), chain_skeleton(), seed=16)
+            x = np.random.default_rng(19).normal(size=(2, 3, 3, 5)).astype(dtype)
+            x_before, state_before = x.copy(), snapshot(model)
+            with no_grad():
+                lifted = model.forward(x).data
+            recorded = model.forward(x)
+        assert recorded.requires_grad
+        assert np.array_equal(x, x_before)
+        assert_unchanged(model, state_before)
+        assert np.array_equal(lifted, recorded.data)
+
+    def test_no_grad_forward_peak_memory(self):
+        # Regression guard for the sliced attention and the freed
+        # intermediates: a no-grad float64 T=81 forward peaked at 9.96 MB
+        # by tracemalloc while its (1,17,8,81,81) scores existed at once and
+        # every intermediate lived until its function returned; it peaks at
+        # 4.24 MB now.
+        cfg = ModelConfig(frames=81, channels_in=5, embed_dim=32, depth=1)
+        model = PoseLifter(cfg, human36m_skeleton(), seed=0)
+        x = np.random.default_rng(0).normal(size=(1, 81, 17, 5))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
+
     def test_activations_finite_across_seeds(self):
         model = PoseLifter(tiny_config(), chain_skeleton(), seed=9)
         for seed in range(100):
@@ -281,6 +331,21 @@ class TestTwoStage:
         assert np.array_equal(captured["x"][..., :2], x2d)
         expected_3d = pre.forward(x2d).data
         assert np.allclose(captured["x"][..., 2:], expected_3d, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_pipeline_writes_nothing_and_matches_recording(self, dtype):
+        with precision(dtype):
+            pre, main = self.make_pipeline()
+            x2d = np.random.default_rng(20).normal(size=(3, 3, 2)).astype(dtype)
+            x_before, pre_before, main_before = x2d.copy(), snapshot(pre), snapshot(main)
+            with no_grad():
+                lifted = two_stage_forward(x2d, pre, main).data
+            recorded = two_stage_forward(x2d, pre, main)
+        assert recorded.requires_grad
+        assert np.array_equal(x2d, x_before)
+        assert_unchanged(pre, pre_before)
+        assert_unchanged(main, main_before)
+        assert np.array_equal(lifted, recorded.data)
 
     def test_stage_channel_validation(self):
         pre, main = self.make_pipeline()

@@ -191,6 +191,42 @@ class TestScaledDotAttention:
         err = grad_check(lambda s, t: (scaled_dot_attention(s, t, t, scale=1.0) * seed).sum(), [a, b])
         assert err < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shapes, scale, merge", [
+        (((3, 5, 7, 4), (3, 5, 6, 4), (3, 5, 6, 3)), None, False),  # equal leading shapes
+        (((2, 5, 7, 4), (5, 6, 4), (5, 6, 3)), None, False),  # K/V broadcast
+        (((3, 5, 7, 4), (3, 5, 6, 4), None), 1.0, False),  # shared K = V, unscaled
+        (((7, 4), (6, 4), (6, 3)), None, False),  # 2-D: no leading axes, one slice
+        (((2, 3, 5, 7, 4),) * 3, None, True),  # merged heads
+    ])
+    def test_slices_equal_one_slice(self, monkeypatch, dtype, shapes, scale, merge):
+        rng = np.random.default_rng(45)
+        values = [rng.normal(size=shape) for shape in shapes if shape is not None]
+        q_shape, k_shape = shapes[0], shapes[1]
+        lead = np.broadcast_shapes(q_shape[:-2], k_shape[:-2])
+        matrix = q_shape[-2] * k_shape[-2] * np.dtype(dtype).itemsize
+
+        def attend(budget):
+            monkeypatch.setattr(numerics, "_ATTENTION_SLICE_BYTES", budget)
+            with precision(dtype):
+                q, k, *v = (Tensor(a, requires_grad=True) for a in values)
+                v = v[0] if v else k
+                sink = []
+                out = scaled_dot_attention(q, k, v, attn_sink=sink, scale=scale, merge_heads=merge)
+                with no_grad():
+                    unkept = scaled_dot_attention(q, k, v, scale=scale, merge_heads=merge).data
+                out.backward(np.random.default_rng(46).normal(size=out.data.shape).astype(dtype))
+                return [out.data, unkept, sink[0], q.grad, k.grad, v.grad]
+
+        whole = attend(1 << 62)
+        # Two score matrices a slice: several slices, the last one ragged.
+        monkeypatch.setattr(numerics, "_ATTENTION_SLICE_BYTES", 2 * matrix)
+        slices = list(numerics._attention_slices(lead, matrix))
+        if lead:
+            assert len(slices) > 1 and slices[-1][-1].stop > lead[len(slices[-1]) - 1]
+        for sliced, one in zip(attend(2 * matrix), whole):
+            assert_bitwise_equal(sliced, one)
+
 
 class TestNormalizationAndGelu:
     def test_layer_norm_constant_row(self):
@@ -490,6 +526,19 @@ class TestFusedNodes:
                                 w=t if project else None, b=u if project else None)
                         * merged_seed).sum()
             assert grad_check(fn, [x, w, b, residual]) < 1e-4
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_residual_dropout_leaves_its_inputs_unchanged(self, training):
+        # Without `w` and outside training the dropped value is x's own array,
+        # so the residual must not be added into it.
+        rng = np.random.default_rng(66)
+        x, residual = (Tensor(rng.normal(size=(2, 5, 7))) for _ in range(2))
+        before = x.data.copy(), residual.data.copy()
+        out = dropout(x, 0.25, np.random.default_rng(67), training, residual=residual)
+        assert_bitwise_equal(x.data, before[0])
+        assert_bitwise_equal(residual.data, before[1])
+        if not training:
+            assert_bitwise_equal(out.data, before[1] + before[0])
 
     def test_residual_shape_error(self):
         with pytest.raises(ShapeError):
