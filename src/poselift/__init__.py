@@ -8,7 +8,7 @@ from .errors import (ConfigError, DataError, DivergenceError, FormatError,
 from .skeleton import (HybridAdjacency, SkeletonGraph, build_hybrid_adjacency,
                        human36m_skeleton, khop_adjacency, load_skeleton, save_skeleton,
                        shortest_path_hops, symmetric_matrix)
-from .numerics import (Parameter, Tensor, batch_norm, cat,
+from .numerics import (Parameter, Tensor, batch_norm,
                        dropout, gelu, grad_check, l2norm_last, layer_norm,
                        linear, load_checkpoint, no_grad, precision,
                        save_checkpoint, scaled_dot_attention, softmax_rows)

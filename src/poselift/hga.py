@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 # softmax_rows is no longer called here; the name stays bound because the
 # per-layer tracer (perfbench/layers.py) wraps hga.softmax_rows.
-from .numerics import (Module, Parameter, Tensor, as_tensor, batch_norm, cat, gelu,  # noqa: F401
+from .numerics import (Module, Parameter, Tensor, as_tensor, batch_norm, gelu,  # noqa: F401
                        layer_norm, linear, scaled_dot_attention, softmax_rows,
                        uniform_init)
 
@@ -94,12 +94,12 @@ def npsc(x_a_h, x_b_h, attn_sink: list | None = None) -> Tensor:
 
 
 def fuse_update(x_a_h, x_hyb_att, x_joint_h, w_upd) -> Tensor:
-    """Concatenate the three (..., h, N, C/h) subspace signals, project
-    back down and merge the heads: (..., N, C)."""
+    """Project the three (..., h, N, C/h) subspace signals, concatenated,
+    back down and merge the heads: (..., N, C), keeping no concatenation."""
     x_a_h, x_hyb_att, x_joint_h = map(as_tensor, (x_a_h, x_hyb_att, x_joint_h))
     if not (x_a_h.data.shape == x_hyb_att.data.shape == x_joint_h.data.shape):
         raise ShapeError("fuse_update expects three identically shaped tensors")
-    return linear(cat([x_a_h, x_hyb_att, x_joint_h], axis=-1), w_upd, merge_heads=True)
+    return linear((x_a_h, x_hyb_att, x_joint_h), w_upd, merge_heads=True)
 
 
 def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,

@@ -120,10 +120,7 @@ def encoder_forward(x, params: EncoderParams, training: bool = False,
     del q, k, v
     x = dropout(attended, drop_rate, rng, training, residual=x, w=params.w_o, b=params.b_o)
     del attended
-    h = layer_norm(x, params.ln2_gamma, params.ln2_beta)
-    hidden = linear(h, params.w_ff1, params.b_ff1)
-    del h
-    hidden = gelu(hidden)
+    hidden = gelu(layer_norm(x, params.ln2_gamma, params.ln2_beta), w=params.w_ff1, b=params.b_ff1)
     return dropout(hidden, drop_rate, rng, training, residual=x, w=params.w_ff2, b=params.b_ff2)
 
 

@@ -248,10 +248,9 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def bw(g):
-            gg = g
             if axis is not None and not keepdims:
-                gg = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(gg, self.data.shape))
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape))
 
         return Tensor._node(np.asarray(out_data), (self,), bw)
 
@@ -372,21 +371,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def cat(tensors: list, axis: int = -1) -> Tensor:
-    """Concatenate along `axis`; gradient splits back to each operand."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            if t.requires_grad:
-                t._accum(piece)
-
-    return Tensor._node(out_data, tuple(tensors), bw)
-
-
 def l2norm_last(x) -> Tensor:
     """Euclidean norm over the trailing axis, with subgradient 0 at zero."""
     x = as_tensor(x)
@@ -401,15 +385,10 @@ def l2norm_last(x) -> Tensor:
 
 # -- layers ---------------------------------------------------------------
 
-# Weights with at least this many entries take the flattened forward GEMM
-# in `linear` (see its docstring for the measurement behind it).
-_FLAT_GEMM_MIN_WEIGHT = 1 << 16
-# Softmax rows shorter than this take their maximum by a column sweep
-# (see `_row_max` for the measurement behind it).
-_ROW_SWEEP_BELOW = 32
-# Attention runs in slices of at most this many bytes of scores (see
-# `scaled_dot_attention` for the measurement behind it).
-_ATTENTION_SLICE_BYTES = 1 << 21
+# Cut-offs, each measured in the docstring of the function named.
+_FLAT_GEMM_MIN_WEIGHT = 1 << 16   # weight entries from which `linear` flattens its GEMM
+_ROW_SWEEP_BELOW = 32             # softmax row length below which `_row_max` sweeps
+_ATTENTION_SLICE_BYTES = 1 << 21  # scores per slice in `scaled_dot_attention`
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -418,22 +397,32 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _linear_data(x: Tensor, w: Tensor, b) -> np.ndarray:
+def _linear_data(x: np.ndarray, w: Tensor, b) -> np.ndarray:
     k, n = w.data.shape
     if w.data.size >= _FLAT_GEMM_MIN_WEIGHT:
-        out = (x.data.reshape(-1, k) @ w.data).reshape(x.data.shape[:-1] + (n,))
+        out = (x.reshape(-1, k) @ w.data).reshape(x.shape[:-1] + (n,))
     else:
-        out = x.data @ w.data
+        out = x @ w.data
     if b is not None:
         out += b.data
     return out
 
 
-def _linear_backward(g: np.ndarray, x: Tensor, w: Tensor, b) -> None:
-    if x.requires_grad:
-        x._accum_owned(g @ w.data.T)
+def _joined(xs: tuple) -> np.ndarray:
+    return xs[0].data if len(xs) == 1 else np.concatenate([t.data for t in xs], axis=-1)
+
+
+def _linear_backward(g: np.ndarray, xs: tuple, w: Tensor, b) -> None:
+    if any(t.requires_grad for t in xs):
+        gx = g @ w.data.T
+        if len(xs) == 1:
+            xs[0]._accum_owned(gx)
+        else:
+            offsets = np.cumsum([t.data.shape[-1] for t in xs])[:-1]
+            for t, piece in zip(xs, np.split(gx, offsets, axis=-1)):
+                t._accum(piece)
     if w.requires_grad:
-        w._accum_owned(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+        w._accum_owned(_unbroadcast(np.swapaxes(_joined(xs), -1, -2) @ g, w.data.shape))
     if b is not None and b.requires_grad:
         gb = _unbroadcast(g, b.data.shape)
         (b._accum if gb is g else b._accum_owned)(gb)
@@ -471,26 +460,31 @@ def linear(x, w, b=None, heads: int | None = None, merge_heads: bool = False) ->
     returns the (..., h, N, n) product merged to (..., N, h*n).  Either
     way the node stores only the rearranged copy, and its backward reads
     only `x` and `w`: the product in the other layout is never kept.
+    A tuple `x` of Tensors is taken as their concatenation on the last
+    axis; the node keeps the parts, and its backward rebuilds it.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(f"linear: input {x.data.shape} incompatible with weight {w.data.shape}")
+    xs = tuple(map(as_tensor, x)) if isinstance(x, tuple) else (as_tensor(x),)
+    w = as_tensor(w)
+    x_data = _joined(xs)
+    if x_data.ndim < 2 or x_data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear: input {x_data.shape} incompatible with weight {w.data.shape}")
     if heads is not None and (heads < 1 or w.data.shape[1] % heads):
         raise ShapeError(f"linear: {w.data.shape[1]} output channels in {heads} heads")
     b = as_tensor(b) if b is not None else None
-    out_data = _linear_data(x, w, b)
+    out_data = _linear_data(x_data, w, b)
+    del x_data
     if heads is not None:
         out_data = np.ascontiguousarray(_head_view(out_data, heads))
     elif merge_heads:
         out_data = _merge_heads(out_data)
-    parents = (x, w) if b is None else (x, w, b)
+    parents = xs + ((w,) if b is None else (w, b))
 
     def bw(g):
         if heads is not None:
             g = _merge_heads(g)
         elif merge_heads:
-            g = _head_view(g, x.data.shape[-3])
-        _linear_backward(g, x, w, b)
+            g = _head_view(g, xs[0].data.shape[-3])
+        _linear_backward(g, xs, w, b)
 
     return Tensor._node(out_data, parents, bw)
 
@@ -498,21 +492,19 @@ def linear(x, w, b=None, heads: int | None = None, merge_heads: bool = False) ->
 def _row_max(s: np.ndarray) -> np.ndarray:
     """Maximum over the trailing axis, keeping it as length 1.
 
-    Rows shorter than _ROW_SWEEP_BELOW are reduced by one
-    ``np.maximum`` sweep per column, longer (and empty) rows by
-    ``s.max``.  The choice follows the row length because that is where
-    each form wins: numpy's reduction costs about 100 ns per row however
-    short the row, while a sweep costs one ufunc call per column over
-    all rows at once.  In float32 with one BLAS thread the sweep was
-    faster at every length measured below 32: by 8.9, 7.0, 2.3 and 2.8x
-    at lengths 8, 12, 17 and 27 on 3,672 rows (as many as the B=1 joint
-    scores) and by 19.5, 10.6, 1.9 and 1.4x on 29,376 rows (the B=8
-    frame scores).  At 32 it was already slower on the larger array
-    (0.70x), and at 243 (the T=243 temporal scores) 3-5x slower.  Both
-    forms give the same result bit for bit: a maximum is exact in any
-    order, and NaN propagates through both.  At a +0/-0 tie they may
-    pick different zeros, which leaves ``s - max`` and so the softmax
-    unchanged.
+    Rows shorter than _ROW_SWEEP_BELOW are reduced by one ``np.maximum``
+    sweep per column, longer (and empty) rows by ``s.max``: numpy's
+    reduction costs about 100 ns per row however short the row, a sweep
+    one ufunc call per column over all rows.  In float32 with one BLAS
+    thread the sweep was faster at every length measured below 32: by 8.9,
+    7.0, 2.3 and 2.8x at lengths 8, 12, 17 and 27 on 3,672 rows (as many
+    as the B=1 joint scores) and by 19.5, 10.6, 1.9 and 1.4x on 29,376
+    rows (the B=8 frame scores).  At 32 it was already slower on the
+    larger array (0.70x), and at 243 (the T=243 temporal scores) 3-5x
+    slower.  Both forms give the same result bit for bit: a maximum is
+    exact in any order, and NaN propagates through both.  At a +0/-0 tie
+    they may pick different zeros, which leaves ``s - max`` and so the
+    softmax unchanged.
     """
     n = s.shape[-1]
     if not 0 < n < _ROW_SWEEP_BELOW:
@@ -571,15 +563,16 @@ def _attention_slices(lead: tuple, matrix_bytes: int):
             yield outer + (slice(start, start + step),)
 
 
-def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, keep: bool) -> tuple:
-    """(weights, output) of softmax(qs k^T) v, one slice of the broadcast
-    leading axes at a time; the weights are None unless `keep`."""
-    lead = np.broadcast_shapes(qs.shape[:-2], k.shape[:-2], v.shape[:-2])
-    n, m = qs.shape[-2], k.shape[-2]
-    qs = np.broadcast_to(qs, lead + qs.shape[-2:])
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, keep: bool) -> tuple:
+    """(weights, output) of softmax(scale * q k^T) v, one slice of the
+    broadcast leading axes at a time, each slice's queries scaled in turn;
+    the weights are None unless `keep`."""
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    n, m = q.shape[-2], k.shape[-2]
+    q = np.broadcast_to(q, lead + q.shape[-2:])
     kt = np.broadcast_to(np.swapaxes(k, -1, -2), lead + (k.shape[-1], m))
     v = np.broadcast_to(v, lead + v.shape[-2:])
-    dtype = np.result_type(qs, kt)
+    dtype = np.result_type(q, kt)
     weights = np.empty(lead + (n, m), dtype) if keep else None
     out_data = np.empty(lead + (n, v.shape[-1]), np.result_type(dtype, v))
     buffer = None
@@ -592,7 +585,8 @@ def _attend(qs: np.ndarray, k: np.ndarray, v: np.ndarray, keep: bool) -> tuple:
             if buffer is None:
                 buffer = np.empty(out.shape[:-1] + (m,), dtype)
             s = buffer[:len(out)]
-        np.matmul(qs[idx], kt[idx], out=s)
+        qs = q[idx] if scale == 1.0 else q[idx] * scale
+        np.matmul(qs, kt[idx], out=s)
         np.matmul(_softmax_inplace(s), v[idx], out=out)
     return weights, out_data
 
@@ -613,14 +607,12 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
 
     The scores, softmax and weighted sum run one slice of the broadcast
     leading axes at a time (`_attention_slices`), each slice's scores at
-    most _ATTENTION_SLICE_BYTES, and each slice writes its output into
-    one preallocated array.  The full weight array exists only when the
-    backward or `attn_sink` reads it, filled slice by slice; otherwise
-    one slice-sized buffer is reused, so a no-grad call never holds the
-    whole score matrix (the memory argument of Rabe & Staats 2021).  The
-    result is the unsliced one bit for bit: numpy's batched matmul runs
-    one GEMM per leading index whatever the batch, and the softmax works
-    row by row.  A T=27 no-grad call runs as one slice.
+    most _ATTENTION_SLICE_BYTES, into one preallocated output.  The full
+    weight array exists only when the backward or `attn_sink` reads it;
+    otherwise one slice-sized buffer is reused, so a no-grad call never
+    holds the whole score matrix (Rabe & Staats 2021).  The result is the
+    unsliced one bit for bit: numpy's batched matmul runs one GEMM per
+    leading index whatever the batch, and the softmax works row by row.
 
     The cut-off, 2 MiB, is the L2 cache per core of the 2-core Xeon this
     was measured on.  In float32 with one BLAS thread (medians of 40
@@ -641,13 +633,9 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
         raise ShapeError(f"{k.data.shape[-2]} keys vs {v.data.shape[-2]} values")
     scale = float(1.0 / np.sqrt(d) if scale is None else scale)
 
-    def scaled_q():
-        # Scaling the (smaller) queries is equivalent to scaling the scores.
-        return q.data if scale == 1.0 else q.data * scale
-
     keep = attn_sink is not None or (
         _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad))
-    weights, out_data = _attend(scaled_q(), k.data, v.data, keep)
+    weights, out_data = _attend(q.data, k.data, v.data, scale, keep)
     if attn_sink is not None:
         attn_sink.append(weights)
     if merge_heads:
@@ -667,7 +655,8 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
                 gq *= scale
             q._accum_owned(_unbroadcast(gq, q.data.shape))
         if k.requires_grad:
-            k._accum_owned(_unbroadcast(np.swapaxes(ds, -1, -2) @ scaled_q(), k.data.shape))
+            qs = q.data if scale == 1.0 else q.data * scale
+            k._accum_owned(_unbroadcast(np.swapaxes(ds, -1, -2) @ qs, k.data.shape))
 
     return Tensor._node(out_data, (q, k, v), bw)
 
@@ -694,14 +683,14 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None =
     dx = (h - mean(h) - xhat * mean(h * xhat)) / sigma with the means over
     `axes`, or h / sigma for constant statistics.  Returns (node, mean,
     var) with the statistics as plain arrays for running-stat upkeep.
+    The node keeps mean and 1/sigma; the backward rebuilds xhat from the
+    input by the forward's own operations, so it is the same bit for bit.
 
     Batch statistics centre `x` once: the variance is the mean of the
-    squares of ``x - mean``, which ``np.var`` would compute again.  That
-    is ``np.var``'s own arithmetic in numpy 2.4 (sum, divide by the count,
-    subtract, square, sum, divide), so the variance equals ``np.var``'s
-    bit for bit in float32 and float64, over the layer-norm and the
-    batch-norm axes; the tests compare the two forms.
-    In float32 with one BLAS thread it makes the statistics and xhat of a
+    squares of ``x - mean``.  That is ``np.var``'s own arithmetic in numpy
+    2.4, so it equals ``np.var``'s bit for bit in float32 and float64 over
+    the layer- and batch-norm axes (the tests compare the two forms), and
+    in float32 with one BLAS thread makes the statistics and xhat of a
     (1,27,17,64) layer norm 113 us against 169 us, and of a
     (1,243,17,384) one 3.6 ms against 4.8 ms.
     """
@@ -709,23 +698,25 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None =
     beta = as_tensor(beta) if beta is not None else None
     dtype = x.data.dtype
     if stats is None:
-        mu = x.data.mean(axis=axes, keepdims=True)
-        xhat = x.data - mu
+        mu = centre = x.data.mean(axis=axes, keepdims=True)
+        xhat = x.data - centre
         var = np.multiply(xhat, xhat).mean(axis=axes, keepdims=True)
     else:
         mu, var = stats
-        xhat = x.data - mu.astype(dtype, copy=False)
+        centre = mu.astype(dtype)  # a copy: batch norm updates its running mean in place
+        xhat = x.data - centre
     inv = (1.0 / np.sqrt(var + NORM_EPS)).astype(dtype, copy=False)
     xhat *= inv
     out_data = xhat
     if gamma is not None:
         out_data = xhat * gamma.data
     if beta is not None:
-        # Without gamma, out_data is the xhat the backward reads.
-        out_data = _add_into(out_data, beta.data) if gamma is not None else out_data + beta.data
+        out_data = _add_into(out_data, beta.data)
     parents = (x,) + tuple(p for p in (gamma, beta) if p is not None)
 
     def bw(g):
+        xhat = x.data - centre
+        xhat *= inv
         if beta is not None and beta.requires_grad:
             gb = _unbroadcast(g, beta.data.shape)
             (beta._accum if gb is g else beta._accum_owned)(gb)
@@ -740,7 +731,8 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None =
         gm = h.mean(axis=axes, keepdims=True)
         gym = (h * xhat).mean(axis=axes, keepdims=True)
         gx = h - gm
-        gx -= xhat * gym
+        xhat *= gym
+        gx -= xhat
         gx *= inv
         x._accum_owned(gx)
 
@@ -777,21 +769,35 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     return y
 
 
-def gelu(x) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+def gelu(x, w=None, b=None) -> Tensor:
+    """Exact Gaussian-CDF GELU y * Phi(y) as one node, of y = `x` or, given the
+    Tensors `w` (and bias `b`), of ``linear(x, w, b)``.  A recording call
+    keeps only the derivative Phi(y) + y * phi(y), made in the forward."""
     x = as_tensor(x)
-    # 0.5 * (1 + erf(x / sqrt(2))), the same float operations in one buffer.
-    cdf = np.divide(x.data, _SQRT2, out=np.empty_like(x.data))
+    y = x.data if w is None else _linear_data(x.data, w, b)
+    # 0.5 * (1 + erf(y / sqrt(2))), the same float operations in one buffer.
+    cdf = np.divide(y, _SQRT2, out=np.empty_like(y))
     _erf_np(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out_data = x.data * cdf
+    parents = tuple(t for t in (x, w, b) if t is not None)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        # cdf + y * exp(-0.5 * y^2) / sqrt(2 pi), in one buffer.
+        d = y * y
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= y
+        d += cdf
+    cdf *= y
 
     def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data ** 2)
-        x._accum_owned(g * (cdf + x.data * pdf))
+        if w is None:
+            x._accum_owned(g * d)
+        else:
+            _linear_backward(g * d, (x,), w, b)
 
-    return Tensor._node(out_data, (x,), bw)
+    return Tensor._node(cdf, parents, bw)
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
@@ -813,7 +819,7 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
         return x
     if drop and rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    y = x.data if w is None else _linear_data(x, w, b)
+    y = x.data if w is None else _linear_data(x.data, w, b)
     if residual is not None and residual.data.shape != y.shape:
         raise ShapeError(f"dropout: residual {residual.data.shape} vs value {y.shape}")
     if drop:
@@ -824,7 +830,6 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
     if residual is not None:
         # Addition commutes exactly; `y` is this call's own array unless it is x's value.
         y = _add_into(y, residual.data) if drop or w is not None else residual.data + y
-    out_data = y
     # The residual first: the backward then visits the nodes in the order
     # the unfused ``residual + dropout(linear(...))`` gave them.
     parents = tuple(t for t in (residual, x, w, b) if t is not None)
@@ -838,11 +843,11 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
             g = np.multiply(g, scale, order="C")
             g *= keep
         if w is not None:
-            _linear_backward(g, x, w, b)
+            _linear_backward(g, (x,), w, b)
         else:
             (x._accum_owned if drop else x._accum)(g)
 
-    return Tensor._node(out_data, parents, bw)
+    return Tensor._node(y, parents, bw)
 
 
 # -- gradient verification -------------------------------------------------
@@ -870,9 +875,7 @@ def grad_check(fn, inputs) -> float:
         tensors.append(t)
 
     def evaluate() -> float:
-        out = fn(*tensors)
-        val = float(out.data.sum())
-        return val
+        return float(fn(*tensors).data.sum())
 
     out = fn(*tensors)
     if out.data.size != 1:
@@ -897,8 +900,7 @@ def grad_check(fn, inputs) -> float:
                 raise DivergenceError(f"grad_check: non-finite value perturbing input {i} coordinate {j}")
             numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             err = abs(aflat[j] - numeric) / max(1.0, abs(numeric))
-            if err > worst:
-                worst = err
+            worst = max(worst, err)
     return worst
 
 

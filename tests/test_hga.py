@@ -5,7 +5,7 @@ from poselift.errors import ConfigError, ShapeError
 from poselift.hga import (HgaParams, aggregate_hybrid, default_head_count,
                           fuse_update, hga_forward, hybrid_cross_attention,
                           npsc, project_ab)
-from poselift.numerics import Tensor, cat, grad_check, linear
+from poselift.numerics import Tensor, grad_check, linear
 from poselift.skeleton import SkeletonGraph, build_hybrid_adjacency, human36m_skeleton
 
 
@@ -234,7 +234,7 @@ class TestHgaForward:
             att = hybrid_cross_attention(a_h, hyb, params)
             joint = npsc(a_h, b_h)
             fused.append(fuse_update(a_h, att, joint, params.w_upd))
-        merged = linear(cat(fused, axis=-1), params.w_merge)
+        merged = linear(np.concatenate([f.data for f in fused], axis=-1), params.w_merge)
         mean, var = params.bn_mean.copy(), params.bn_var.copy()
         slow = gelu(batch_norm(merged, params.bn_gamma, params.bn_beta, mean, var,
                                training=False)) + x_in

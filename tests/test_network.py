@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -6,13 +7,17 @@ import pytest
 
 from poselift import numerics
 from poselift.errors import ConfigError, ShapeError
+from poselift.losses import total_loss
 from poselift.network import (EncoderParams, ModelConfig, PoseLifter, embed_input,
                               encoder_forward, regression_head,
                               spatial_block_forward, temporal_block_forward,
                               two_stage_forward)
 from poselift.numerics import Parameter, Tensor, grad_check, linear, no_grad, precision
 from poselift.skeleton import SkeletonGraph, human36m_skeleton
-from poselift.training import TrainConfig
+from poselift.training import AdamW, TrainConfig
+
+
+TRAIN_STEP_FINGERPRINT = "b6d80727ae3ce7d0d7f2fa343a37b25eddf76ca402935cf9be17c3fc187a05ea"
 
 
 def chain_skeleton(n=3):
@@ -219,16 +224,17 @@ class TestPoseLifter:
 
     def test_training_tape_node_count(self):
         # Regression guard for the fused attention, normalisation, head
-        # split and merge, and residual dropout nodes: 177 nodes, 94 of
-        # them Parameters, whose arrays hold 59,664 bytes.  A change here
-        # means the layers record a different tape.
+        # split and merge, residual dropout, projected GELU and
+        # concatenating linear nodes: 171 nodes, 94 of them Parameters,
+        # whose arrays hold 51,600 bytes.  A change here means the layers
+        # record a different tape.
         cfg = ModelConfig(frames=3, joints=3, channels_in=2, embed_dim=4, depth=1,
                           ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.25)
         model = PoseLifter(cfg, chain_skeleton(), seed=0)
         x = np.random.default_rng(0).normal(size=(2, 3, 3, 2))
         out = model.forward(x, training=True, rng=np.random.default_rng(1))
         assert len(model.parameters()) == 94
-        assert tape_counts(out) == (177, 59664)
+        assert tape_counts(out) == (171, 51600)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_grad_forward_writes_nothing_and_matches_recording(self, monkeypatch, dtype):
@@ -265,6 +271,55 @@ class TestPoseLifter:
         finally:
             tracemalloc.stop()
         assert peak < 4.5e6
+
+    def test_training_step_peak_memory(self):
+        # Regression guard for what the training tape keeps: a float64
+        # T=27 forward in training mode, its loss and backward peaked at
+        # 36.7 MB by tracemalloc while the norms kept their normalised
+        # input, the feed-forward kept its pre-activation beside GELU's
+        # CDF, and each HGA fuse kept its concatenation.
+        cfg = ModelConfig(frames=27, channels_in=5, embed_dim=32, depth=1)
+        model = PoseLifter(cfg, human36m_skeleton(), seed=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(2, 27, 17, 5)), rng.normal(size=(2, 27, 17, 3))
+        tracemalloc.start()
+        try:
+            out = model.forward(x, training=True, rng=rng)
+            total_loss(out, y, cfg.loss_weights()).total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33e6
+
+    def test_train_step_fingerprint(self):
+        # Every number seeded training steps make, hashed: output, loss,
+        # each parameter gradient, and the parameters and batch-norm
+        # buffers after the update; two float32 steps, then one float64
+        # step that also records the attention weights.  Memory and speed
+        # work on the tape must leave the digest unchanged bit for bit.
+        cfg = ModelConfig(frames=5, joints=5, channels_in=5, embed_dim=8, depth=2,
+                          ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.25)
+        digest = hashlib.sha256()
+        for dtype, steps, sink in ((np.float32, 2, None), (np.float64, 1, [])):
+            with precision(dtype):
+                model = PoseLifter(cfg, chain_skeleton(5), seed=21)
+                optimizer = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
+                rng = np.random.default_rng(22)
+                x, y = rng.normal(size=(2, 5, 5, 5)), rng.normal(size=(2, 5, 5, 3))
+                for _ in range(steps):
+                    out = model.forward(x, training=True, rng=rng, attn_sink=sink)
+                    loss = total_loss(out, y, cfg.loss_weights()).total
+                    model.zero_grad()
+                    loss.backward()
+                    digest.update(out.data.tobytes() + loss.data.tobytes())
+                    for p in model.parameters():
+                        digest.update(p.grad.tobytes())
+                    optimizer.step()
+                    for value in model.state_dict().values():
+                        digest.update(value.tobytes())
+            for weights in sink or ():
+                digest.update(weights.tobytes())
+        assert digest.hexdigest() == TRAIN_STEP_FINGERPRINT
 
     def test_activations_finite_across_seeds(self):
         model = PoseLifter(tiny_config(), chain_skeleton(), seed=9)

@@ -4,7 +4,7 @@ from scipy.stats import norm
 
 from poselift import numerics
 from poselift.errors import DataError, FormatError, ShapeError, TruncatedFileError
-from poselift.numerics import (Parameter, Tensor, batch_norm, cat, dropout, gelu,
+from poselift.numerics import (Parameter, Tensor, batch_norm, dropout, gelu,
                                grad_check, l2norm_last, layer_norm, linear,
                                load_checkpoint, no_grad, precision, save_checkpoint,
                                scaled_dot_attention, softmax_rows)
@@ -265,6 +265,26 @@ class TestNormalizationAndGelu:
                          [x, gamma, beta])
         assert err < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_batch_norm_gradient_ignores_later_running_stat_updates(self, dtype):
+        # The node rebuilds its normalised input in the backward; a
+        # training-mode call in between moves the running mean in place.
+        rng = np.random.default_rng(47)
+        with precision(dtype):
+            x = Tensor(rng.normal(size=(4, 3)))
+            gamma = Tensor(rng.normal(size=3), requires_grad=True)
+            seed = rng.normal(size=(4, 3)).astype(dtype)
+            grads = []
+            for update in (False, True):
+                mean, var = np.full(3, 0.5), np.full(3, 2.0)
+                gamma.grad = None
+                out = batch_norm(x, gamma, None, mean, var, training=False)
+                if update:
+                    batch_norm(Tensor(x.data + 3.0), gamma, None, mean, var, training=True)
+                out.backward(seed)
+                grads.append(gamma.grad)
+        assert_bitwise_equal(grads[1], grads[0])
+
     def test_batch_norm_train_and_eval(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(5.0, 2.0, size=(8, 6, 4)))
@@ -375,9 +395,10 @@ class TestGradCheck:
         assert grad_check(lambda s, t: ((s + t) * (s * t)).sum(), [a, b]) < 1e-4
 
     def test_slice_and_cat_gradients(self):
+        # Slices of one input, concatenated again by a tuple `linear`.
         x = Tensor(np.random.default_rng(10).normal(size=(4, 6)), requires_grad=True)
-        weight = Tensor(np.random.default_rng(11).normal(size=(4, 6)))
-        assert grad_check(lambda t: (cat([t[:, 0:2], t[:, 2:6]], -1) * weight).sum(), [x]) < 1e-4
+        w = Tensor(np.random.default_rng(11).normal(size=(6, 3)), requires_grad=True)
+        assert grad_check(lambda t, u: linear((t[:, 0:2], t[:, 2:6]), u), [x, w]) < 1e-4
 
 
 class TestTensorBasics:
@@ -424,9 +445,10 @@ class TestTensorBasics:
 
 
 class TestFusedNodes:
-    """The head split, head merge and residual dropout nodes against the
-    composed operations they replace, bit for bit: forward, every input
-    and parameter gradient, and the generator state after the draw."""
+    """The head split, head merge, residual dropout, projected GELU and
+    concatenating linear nodes against the composed operations they
+    replace, bit for bit: forward, every input and parameter gradient,
+    and the generator state after the draw."""
 
     @staticmethod
     def split(t, heads):
@@ -507,6 +529,56 @@ class TestFusedNodes:
             assert fused_rng.bit_generator.state == drawn.bit_generator.state
             assert composed_rng.bit_generator.state == drawn.bit_generator.state
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [12, 256])  # batched and flat forward GEMM
+    def test_projected_gelu_equals_gelu_of_linear(self, dtype, width):
+        rng = np.random.default_rng(68)
+        with precision(dtype):
+            shapes = ((2, 5, 7, width), (width, 2 * width), (2 * width,))
+            fused_in, composed_in = self.leaves(rng, *shapes)
+            x, w, b = fused_in
+            fused = gelu(x, w=w, b=b)
+            composed = gelu(linear(*composed_in))
+            with no_grad():
+                lifted = gelu(x, w=w, b=b).data
+            g = rng.normal(size=fused.data.shape).astype(dtype)
+            self.assert_same(fused, composed, g, fused_in, composed_in)
+            assert_bitwise_equal(lifted, fused.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("widths, out", [((2, 4, 6), 4), ((100, 100, 56), 256)])
+    @pytest.mark.parametrize("layout", ["plain", "heads", "merge_heads"])
+    def test_tuple_linear_equals_linear_of_concatenation(self, dtype, widths, out, layout):
+        rng = np.random.default_rng(69)
+        with precision(dtype):
+            lead = (2, 2, 5, 3)
+            shapes = [lead + (n,) for n in widths] + [(sum(widths), out), (out,)]
+            fused_in, composed_in = self.leaves(rng, *shapes)
+            kwargs = {"heads": 2} if layout == "heads" else {"merge_heads": layout == "merge_heads"}
+            bias = fused_in[-1] if layout != "merge_heads" else None
+            fused = linear(tuple(fused_in[:3]), fused_in[3], bias, **kwargs)
+            joined = Tensor(np.concatenate([t.data for t in composed_in[:3]], axis=-1),
+                            requires_grad=True)
+            bias = composed_in[-1] if layout != "merge_heads" else None
+            composed = linear(joined, composed_in[3], bias, **kwargs)
+            g = rng.normal(size=fused.data.shape).astype(dtype)
+            used = [3, 4] if layout != "merge_heads" else [3]
+            self.assert_same(fused, composed, g, [fused_in[i] for i in used],
+                             [composed_in[i] for i in used])
+            pieces = np.split(joined.grad, np.cumsum(widths)[:-1], axis=-1)
+            for part, piece in zip(fused_in[:3], pieces):
+                assert_bitwise_equal(part.grad, piece)
+
+    def test_tuple_linear_gradient_reaches_only_parts_that_require_it(self):
+        rng = np.random.default_rng(70)
+        a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        linear((a, c), w).backward()
+        assert a.grad.shape == (3, 2) and c.grad is None
+        with pytest.raises(ShapeError, match=r"\(3, 6\).*\(5, 5\)"):
+            linear((a, c), Tensor(np.zeros((5, 5))))
+
     def test_gradients(self):
         rng = np.random.default_rng(64)
         x, w, b, residual = (rng.normal(size=shape) for shape in
@@ -526,6 +598,16 @@ class TestFusedNodes:
                                 w=t if project else None, b=u if project else None)
                         * merged_seed).sum()
             assert grad_check(fn, [x, w, b, residual]) < 1e-4
+        assert grad_check(lambda s, t, u: (gelu(s, w=t, b=u) * seed[:, 0]).sum(),
+                          [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)),
+                           rng.normal(size=2)]) < 1e-4
+        assert grad_check(lambda s, t, u, v: (linear((s, t), u, heads=2) * seed).sum(),
+                          [rng.normal(size=(2, 3, 1)), rng.normal(size=(2, 3, 3)),
+                           rng.normal(size=(4, 4)), rng.normal(size=4)]) < 1e-4
+        assert grad_check(lambda s, t, u, v: (linear((s, t, u), v, merge_heads=True)
+                                              * merged_seed).sum(),
+                          [rng.normal(size=(2, 2, 3, 1)) for _ in range(3)]
+                          + [rng.normal(size=(3, 2))]) < 1e-4
 
     @pytest.mark.parametrize("training", [False, True])
     def test_residual_dropout_leaves_its_inputs_unchanged(self, training):
