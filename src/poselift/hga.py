@@ -130,5 +130,4 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
     del fused
     out = batch_norm(out, params.bn_gamma, params.bn_beta,
                      params.bn_mean, params.bn_var, training=training)
-    out = gelu(out)
-    return out + x_in
+    return gelu(out, residual=x_in)

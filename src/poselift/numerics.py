@@ -515,12 +515,15 @@ def _row_max(s: np.ndarray) -> np.ndarray:
     return m[..., None]
 
 
-def _softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """Row-stabilized softmax over the trailing axis, written into `s`."""
-    s -= _row_max(s)
+def _softmax_inplace(s: np.ndarray) -> tuple:
+    """Row-stabilized softmax over the trailing axis, written into `s`;
+    returns the (..., 1) row max it subtracted and row sum it divided by."""
+    row_max = _row_max(s)
+    s -= row_max
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
+    row_sum = s.sum(axis=-1, keepdims=True)
+    s /= row_sum
+    return row_max, row_sum
 
 
 def _softmax_grad_inplace(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -533,7 +536,8 @@ def _softmax_grad_inplace(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
 def softmax_rows(x) -> Tensor:
     """Row-stabilized softmax over the trailing axis (max subtraction)."""
     x = as_tensor(x)
-    out_data = _softmax_inplace(x.data.copy())
+    out_data = x.data.copy()
+    _softmax_inplace(out_data)
 
     def bw(g):
         x._accum_owned(_softmax_grad_inplace(g.copy(), out_data))
@@ -563,32 +567,83 @@ def _attention_slices(lead: tuple, matrix_bytes: int):
             yield outer + (slice(start, start + step),)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, keep: bool) -> tuple:
-    """(weights, output) of softmax(scale * q k^T) v, one slice of the
-    broadcast leading axes at a time, each slice's queries scaled in turn;
-    the weights are None unless `keep`."""
+def _attention_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float):
+    """Yield (index, scaled queries, keys, values, scores buffer) per slice of
+    the broadcast leading axes of q, k and v, each operand a view of that
+    slice and the buffer, reused, holding the slice's raw scores q k^T."""
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     n, m = q.shape[-2], k.shape[-2]
     q = np.broadcast_to(q, lead + q.shape[-2:])
-    kt = np.broadcast_to(np.swapaxes(k, -1, -2), lead + (k.shape[-1], m))
+    k = np.broadcast_to(k, lead + k.shape[-2:])
     v = np.broadcast_to(v, lead + v.shape[-2:])
-    dtype = np.result_type(q, kt)
-    weights = np.empty(lead + (n, m), dtype) if keep else None
-    out_data = np.empty(lead + (n, v.shape[-1]), np.result_type(dtype, v))
+    dtype = np.result_type(q, k)
     buffer = None
     for idx in _attention_slices(lead, n * m * dtype.itemsize):
-        out = out_data[idx]
-        if keep:
-            s = weights[idx]
-        else:
-            # The first slice is the largest; a ragged one takes a prefix.
-            if buffer is None:
-                buffer = np.empty(out.shape[:-1] + (m,), dtype)
-            s = buffer[:len(out)]
         qs = q[idx] if scale == 1.0 else q[idx] * scale
-        np.matmul(qs, kt[idx], out=s)
-        np.matmul(_softmax_inplace(s), v[idx], out=out)
-    return weights, out_data
+        # The first slice is the largest; a ragged one takes a prefix.
+        if buffer is None:
+            buffer = np.empty(qs.shape[:-1] + (m,), dtype)
+        s = buffer[:len(qs)]
+        np.matmul(qs, np.swapaxes(k[idx], -1, -2), out=s)
+        yield idx, qs, k[idx], v[idx], s
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
+            keep: bool, record: bool) -> tuple:
+    """(weights, row max, row sum, output) of softmax(scale * q k^T) v, one
+    slice of the broadcast leading axes at a time.  The weights are None
+    unless `keep`, the row statistics None unless `record`."""
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    n, m = q.shape[-2], k.shape[-2]
+    dtype = np.result_type(q, k)
+    weights = np.empty(lead + (n, m), dtype) if keep else None
+    row_max = np.empty(lead + (n, 1), dtype) if record else None
+    row_sum = np.empty(lead + (n, 1), dtype) if record else None
+    out_data = np.empty(lead + (n, v.shape[-1]), np.result_type(dtype, v))
+    for idx, _, _, vs, s in _attention_scores(q, k, v, scale):
+        stats = _softmax_inplace(s)
+        if record:
+            row_max[idx], row_sum[idx] = stats
+        if keep:
+            weights[idx] = s
+        np.matmul(s, vs, out=out_data[idx])
+    return weights, row_max, row_sum, out_data
+
+
+def _attend_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     scale: float, row_max: np.ndarray, row_sum: np.ndarray,
+                     needs: tuple) -> tuple:
+    """Gradients (dQ, dK, dV) over the broadcast leading shape, each None
+    unless `needs` asks for it, from the output gradient `g`.  Each slice's
+    weights P are rebuilt from its scores and the forward's row statistics
+    by the forward's own operations, then dV = P^T g, dS = P * (dP -
+    rowsum(dP * P)) with dP = g v^T, dQ = scale * dS k and dK = dS^T q."""
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    dtype = np.result_type(q, k, v, g)
+    grads = [np.empty(lead + a.shape[-2:], dtype) if need else None
+             for a, need in zip((q, k, v), needs)]
+    gq, gk, gv = grads
+    dp_buffer = None
+    for idx, qs, ks, vs, p in _attention_scores(q, k, v, scale):
+        p -= row_max[idx]
+        np.exp(p, out=p)
+        p /= row_sum[idx]
+        rows = g[idx]
+        if gv is not None:
+            np.matmul(np.swapaxes(p, -1, -2), rows, out=gv[idx])
+        if gq is None and gk is None:
+            continue
+        if dp_buffer is None:
+            dp_buffer = np.empty_like(p)
+        ds = _softmax_grad_inplace(
+            np.matmul(rows, np.swapaxes(vs, -1, -2), out=dp_buffer[:len(p)]), p)
+        if gq is not None:
+            np.matmul(ds, ks, out=gq[idx])
+            if scale != 1.0:
+                gq[idx] *= scale
+        if gk is not None:
+            np.matmul(np.swapaxes(ds, -1, -2), qs, out=gk[idx])
+    return tuple(grads)
 
 
 def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
@@ -596,23 +651,26 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
     """softmax(scale * q k^T) v over the trailing two axes, as one node.
 
     `scale` defaults to 1/sqrt(d).  Leading axes broadcast, so (..., n, d)
-    queries against (..., m, d) keys/values work batched.  The scores
-    buffer is turned into the softmax weights in place, and the backward
-    closure keeps only those weights P: with dP = g v^T it forms
-    dS = P * (dP - rowsum(dP * P)), the softmax gradient in the form
-    FlashAttention uses (Dao et al. 2022).  If `attn_sink` is a list, the
-    weight array is appended to it (diagnostics only, no gradient).
-    `merge_heads` returns the (..., h, n, d) output with its heads merged,
-    (..., n, h*d), and the unmerged output is never kept.
+    queries against (..., m, d) keys/values work batched.  If `attn_sink`
+    is a list, the softmax weight array is appended to it (diagnostics
+    only, no gradient).  `merge_heads` returns the (..., h, n, d) output
+    with its heads merged, (..., n, h*d), and the unmerged output is never
+    kept.
 
     The scores, softmax and weighted sum run one slice of the broadcast
     leading axes at a time (`_attention_slices`), each slice's scores at
-    most _ATTENTION_SLICE_BYTES, into one preallocated output.  The full
-    weight array exists only when the backward or `attn_sink` reads it;
-    otherwise one slice-sized buffer is reused, so a no-grad call never
-    holds the whole score matrix (Rabe & Staats 2021).  The result is the
+    most _ATTENTION_SLICE_BYTES, in one reused slice-sized buffer and into
+    one preallocated output, so no call holds the whole score matrix
+    unless `attn_sink` asks for it (Rabe & Staats 2021).  A recording call
+    keeps only each row's softmax max and sum, two (..., n, 1) arrays, as
+    FlashAttention does (Dao et al. 2022).  The backward walks the same
+    slices and rebuilds each slice's weights P in one buffer by the
+    forward's own operations (scaled queries @ k^T, minus the row max,
+    exp, divided by the row sum), then forms dV, dS = P * (dP - rowsum(dP
+    * P)) with dP = g v^T, dQ and dK for the slice.  Every result is the
     unsliced one bit for bit: numpy's batched matmul runs one GEMM per
-    leading index whatever the batch, and the softmax works row by row.
+    leading index whatever the batch, the softmax works row by row, and
+    the statistics are the forward's own arrays.
 
     The cut-off, 2 MiB, is the L2 cache per core of the 2-core Xeon this
     was measured on.  In float32 with one BLAS thread (medians of 40
@@ -621,7 +679,11 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
     slices (58.1-61.0 ms at 0.5, 1, 4 and 8 MiB), and never held its
     32 MB of scores.  A recording (8,17,8,27,8) call, the train-t27
     temporal attention, took 7.04 ms unsliced and 6.22 ms in two slices
-    (100 calls).
+    (100 calls).  Rebuilding P buys that memory with backward time: the
+    backward of a recording (8,17,8,27,8) call took 5.9 ms against 4.3 ms
+    when the node kept its weights, and of a (8,27,8,17,8) call, the
+    spatial attention, 8.4 against 4.3 ms (medians of 60 interleaved
+    calls).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.data.shape[-1]
@@ -633,30 +695,24 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
         raise ShapeError(f"{k.data.shape[-2]} keys vs {v.data.shape[-2]} values")
     scale = float(1.0 / np.sqrt(d) if scale is None else scale)
 
-    keep = attn_sink is not None or (
-        _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad))
-    weights, out_data = _attend(q.data, k.data, v.data, scale, keep)
+    record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    weights, row_max, row_sum, out_data = _attend(q.data, k.data, v.data, scale,
+                                                  attn_sink is not None, record)
     if attn_sink is not None:
         attn_sink.append(weights)
+    del weights
     if merge_heads:
         out_data = _merge_heads(out_data)
 
     def bw(g):
         if merge_heads:
             g = _head_view(g, q.data.shape[-3])
-        if v.requires_grad:
-            v._accum_owned(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        ds = _softmax_grad_inplace(g @ np.swapaxes(v.data, -1, -2), weights)
-        if q.requires_grad:
-            gq = ds @ k.data
-            if scale != 1.0:
-                gq *= scale
-            q._accum_owned(_unbroadcast(gq, q.data.shape))
-        if k.requires_grad:
-            qs = q.data if scale == 1.0 else q.data * scale
-            k._accum_owned(_unbroadcast(np.swapaxes(ds, -1, -2) @ qs, k.data.shape))
+        gq, gk, gv = _attend_backward(g, q.data, k.data, v.data, scale, row_max, row_sum,
+                                      (q.requires_grad, k.requires_grad, v.requires_grad))
+        # V first: with K = V (hga.npsc) its gradient is dV + dK in that order.
+        for t, gt in ((v, gv), (q, gq), (k, gk)):
+            if gt is not None:
+                t._accum_owned(_unbroadcast(gt, t.data.shape))
 
     return Tensor._node(out_data, (q, k, v), bw)
 
@@ -769,18 +825,23 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     return y
 
 
-def gelu(x, w=None, b=None) -> Tensor:
+def gelu(x, w=None, b=None, residual=None) -> Tensor:
     """Exact Gaussian-CDF GELU y * Phi(y) as one node, of y = `x` or, given the
-    Tensors `w` (and bias `b`), of ``linear(x, w, b)``.  A recording call
-    keeps only the derivative Phi(y) + y * phi(y), made in the forward."""
+    Tensors `w` (and bias `b`), of ``linear(x, w, b)``, plus the Tensor
+    `residual` if given.  A recording call keeps only the derivative
+    Phi(y) + y * phi(y), made in the forward; the GELU value before the
+    residual is added is never kept."""
     x = as_tensor(x)
     y = x.data if w is None else _linear_data(x.data, w, b)
+    if residual is not None and residual.data.shape != y.shape:
+        raise ShapeError(f"gelu: residual {residual.data.shape} vs value {y.shape}")
     # 0.5 * (1 + erf(y / sqrt(2))), the same float operations in one buffer.
     cdf = np.divide(y, _SQRT2, out=np.empty_like(y))
     _erf_np(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    parents = tuple(t for t in (x, w, b) if t is not None)
+    # The residual first, as in `dropout`.
+    parents = tuple(t for t in (residual, x, w, b) if t is not None)
     if _grad_enabled and any(p.requires_grad for p in parents):
         # cdf + y * exp(-0.5 * y^2) / sqrt(2 pi), in one buffer.
         d = y * y
@@ -790,8 +851,13 @@ def gelu(x, w=None, b=None) -> Tensor:
         d *= y
         d += cdf
     cdf *= y
+    if residual is not None:
+        # Addition commutes exactly: this is ``gelu(x) + residual``.
+        cdf = _add_into(cdf, residual.data)
 
     def bw(g):
+        if residual is not None and residual.requires_grad:
+            residual._accum(g)
         if w is None:
             x._accum_owned(g * d)
         else:

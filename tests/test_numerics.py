@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -124,7 +126,8 @@ class TestSoftmax:
             s[2, np.arange(6)[:, None], spots] = specials[rng.integers(5, size=(6, 3))]
             with np.errstate(invalid="ignore"):
                 expected = reference(s)
-                got = numerics._softmax_inplace(s.copy())
+                got = s.copy()
+                numerics._softmax_inplace(got)
             assert_bitwise_equal(got, expected)
 
 
@@ -207,16 +210,22 @@ class TestScaledDotAttention:
         matrix = q_shape[-2] * k_shape[-2] * np.dtype(dtype).itemsize
 
         def attend(budget):
+            """[output, dQ, dK, dV] of a call keeping the weights, the
+            weights, the same four of a call keeping only the row
+            statistics, and the no-grad output."""
             monkeypatch.setattr(numerics, "_ATTENTION_SLICE_BYTES", budget)
+            results = []
             with precision(dtype):
-                q, k, *v = (Tensor(a, requires_grad=True) for a in values)
-                v = v[0] if v else k
-                sink = []
-                out = scaled_dot_attention(q, k, v, attn_sink=sink, scale=scale, merge_heads=merge)
+                for sink in ([], None):
+                    q, k, *v = (Tensor(a, requires_grad=True) for a in values)
+                    v = v[0] if v else k
+                    out = scaled_dot_attention(q, k, v, attn_sink=sink, scale=scale,
+                                               merge_heads=merge)
+                    out.backward(np.random.default_rng(46).normal(size=out.data.shape).astype(dtype))
+                    results += [out.data, q.grad, k.grad, v.grad] + (sink or [])
                 with no_grad():
-                    unkept = scaled_dot_attention(q, k, v, scale=scale, merge_heads=merge).data
-                out.backward(np.random.default_rng(46).normal(size=out.data.shape).astype(dtype))
-                return [out.data, unkept, sink[0], q.grad, k.grad, v.grad]
+                    results.append(scaled_dot_attention(q, k, v, scale=scale, merge_heads=merge).data)
+            return results
 
         whole = attend(1 << 62)
         # Two score matrices a slice: several slices, the last one ragged.
@@ -224,8 +233,34 @@ class TestScaledDotAttention:
         slices = list(numerics._attention_slices(lead, matrix))
         if lead:
             assert len(slices) > 1 and slices[-1][-1].stop > lead[len(slices[-1]) - 1]
-        for sliced, one in zip(attend(2 * matrix), whole):
-            assert_bitwise_equal(sliced, one)
+        sliced = attend(2 * matrix)
+        for got, want in zip(sliced, whole):
+            assert_bitwise_equal(got, want)
+        # The statistics-only call and the no-grad output against the sink-keeping call.
+        for got, want in zip(whole[5:], whole[:4] + whole[:1]):
+            assert_bitwise_equal(got, want)
+
+    def test_recording_call_keeps_only_row_statistics(self):
+        # Regression guard for the statistics-only tape: a recording float64
+        # call with (2,17,4,81,8) operands held 7.84 MB after its forward
+        # by tracemalloc, and its forward and backward peaked at 24.3 MB,
+        # while the node kept its (2,17,4,81,81) softmax weights and the
+        # backward made whole-array temporaries.  It keeps two
+        # (2,17,4,81,1) row statistics now and rebuilds the weights slice
+        # by slice: 0.88 MB held, a 10.3 MB peak.
+        rng = np.random.default_rng(71)
+        q, k, v = (Tensor(rng.normal(size=(2, 17, 4, 81, 8)), requires_grad=True)
+                   for _ in range(3))
+        tracemalloc.start()
+        try:
+            out = scaled_dot_attention(q, k, v)
+            held = tracemalloc.get_traced_memory()[0]
+            out.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5e6
+        assert peak < 16e6
 
 
 class TestNormalizationAndGelu:
@@ -445,10 +480,10 @@ class TestTensorBasics:
 
 
 class TestFusedNodes:
-    """The head split, head merge, residual dropout, projected GELU and
-    concatenating linear nodes against the composed operations they
-    replace, bit for bit: forward, every input and parameter gradient,
-    and the generator state after the draw."""
+    """The head split, head merge, residual dropout, projected GELU, GELU
+    with its residual and concatenating linear nodes against the composed
+    operations they replace, bit for bit: forward, every input and
+    parameter gradient, and the generator state after the draw."""
 
     @staticmethod
     def split(t, heads):
@@ -546,6 +581,23 @@ class TestFusedNodes:
             assert_bitwise_equal(lifted, fused.data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_with_residual_equals_gelu_then_add(self, dtype):
+        rng = np.random.default_rng(72)
+        with precision(dtype):
+            fused_in, composed_in = self.leaves(rng, (2, 5, 7, 12), (2, 5, 7, 12))
+            x, residual = fused_in
+            before = x.data.copy(), residual.data.copy()
+            fused = gelu(x, residual=residual)
+            with no_grad():
+                lifted = gelu(x, residual=residual).data
+            composed = gelu(composed_in[0]) + composed_in[1]
+            g = rng.normal(size=fused.data.shape).astype(dtype)
+            self.assert_same(fused, composed, g, fused_in, composed_in)
+            assert_bitwise_equal(lifted, fused.data)
+            assert_bitwise_equal(x.data, before[0])
+            assert_bitwise_equal(residual.data, before[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("widths, out", [((2, 4, 6), 4), ((100, 100, 56), 256)])
     @pytest.mark.parametrize("layout", ["plain", "heads", "merge_heads"])
     def test_tuple_linear_equals_linear_of_concatenation(self, dtype, widths, out, layout):
@@ -601,6 +653,8 @@ class TestFusedNodes:
         assert grad_check(lambda s, t, u: (gelu(s, w=t, b=u) * seed[:, 0]).sum(),
                           [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)),
                            rng.normal(size=2)]) < 1e-4
+        assert grad_check(lambda s, r: (gelu(s, residual=r) * merged_seed).sum(),
+                          [x, residual]) < 1e-4
         assert grad_check(lambda s, t, u, v: (linear((s, t), u, heads=2) * seed).sum(),
                           [rng.normal(size=(2, 3, 1)), rng.normal(size=(2, 3, 3)),
                            rng.normal(size=(4, 4)), rng.normal(size=4)]) < 1e-4
@@ -626,6 +680,8 @@ class TestFusedNodes:
         with pytest.raises(ShapeError):
             dropout(Tensor(np.zeros((2, 3, 4))), 0.25, np.random.default_rng(0), True,
                     residual=Tensor(np.zeros((2, 3, 5))))
+        with pytest.raises(ShapeError):
+            gelu(Tensor(np.zeros((2, 3, 4))), residual=Tensor(np.zeros((3, 4))))
 
 
 class TestCheckpointFormat:
