@@ -156,9 +156,12 @@ def spatial_block_forward(x, block: SpatialBlock, skeletal_adj, training: bool =
 
 
 def temporal_block_forward(x, block: TemporalBlock, training: bool = False,
-                           rng=None, drop_rate: float = 0.0) -> Tensor:
-    """Rearrange to joint-major, run the three encoders over frames, restore."""
+                           rng=None, drop_rate: float = 0.0, pe_temporal=None) -> Tensor:
+    """Rearrange to joint-major, add the (T, C) `pe_temporal` if given, run
+    the three encoders over frames, restore."""
     x = as_tensor(x).swapaxes(-3, -2)
+    if pe_temporal is not None:
+        x = x + pe_temporal
     for tte in block.ttes:
         x = encoder_forward(x, tte, training, rng, drop_rate)
     return x.swapaxes(-3, -2)
@@ -213,10 +216,8 @@ class PoseLifter(Module):
         adj = self.hybrid.skeletal
         for l, (sb, tb) in enumerate(self.blocks):
             e = spatial_block_forward(e, sb, adj, training, rng, drop, attn_sink)
-            if l == 0:
-                e = e.swapaxes(-3, -2) + self.pe_temporal
-                e = e.swapaxes(-3, -2)
-            e = temporal_block_forward(e, tb, training, rng, drop)
+            e = temporal_block_forward(e, tb, training, rng, drop,
+                                       self.pe_temporal if l == 0 else None)
         return regression_head(e, self.w_head, self.b_head)
 
 

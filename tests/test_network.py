@@ -225,16 +225,17 @@ class TestPoseLifter:
     def test_training_tape_node_count(self):
         # Regression guard for the fused attention, normalisation, head
         # split and merge, residual dropout, projected GELU, HGA GELU with
-        # its residual and concatenating linear nodes: 169 nodes, 94 of
-        # them Parameters, whose arrays hold 50,448 bytes.  A change here
-        # means the layers record a different tape.
+        # its residual and concatenating linear nodes, and for the temporal
+        # embedding added inside the temporal block's own joint-major swap:
+        # 167 nodes, 94 of them Parameters, whose arrays hold 49,296 bytes.
+        # A change here means the layers record a different tape.
         cfg = ModelConfig(frames=3, joints=3, channels_in=2, embed_dim=4, depth=1,
                           ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.25)
         model = PoseLifter(cfg, chain_skeleton(), seed=0)
         x = np.random.default_rng(0).normal(size=(2, 3, 3, 2))
         out = model.forward(x, training=True, rng=np.random.default_rng(1))
         assert len(model.parameters()) == 94
-        assert tape_counts(out) == (169, 50448)
+        assert tape_counts(out) == (167, 49296)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_grad_forward_writes_nothing_and_matches_recording(self, monkeypatch, dtype):
