@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -88,8 +89,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = TrainConfig.from_json_file(args.config)
+    start = time.perf_counter()
     report = evaluate(cfg, checkpoint=args.checkpoint, data_dir=args.data,
                       central_frame=args.central_frame, allow_scale=not args.no_scale)
+    elapsed = time.perf_counter() - start
+    count = len(report.per_action)
+    print(f"evaluated {count} sequences in {elapsed:.3f} s ({count / elapsed:.2f} sequences/s)",
+          file=sys.stderr)
     print(json.dumps(report.to_dict(), indent=2))
     if args.per_action_csv:
         with open(args.per_action_csv, "w", encoding="utf-8") as f:

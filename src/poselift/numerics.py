@@ -4,10 +4,15 @@ Everything trainable in this package is built from the small set of
 primitives below: a ``Tensor`` records the operations applied to it in a
 DAG, and ``Tensor.backward`` replays the DAG in reverse topological order
 to accumulate gradients.  Tensors hold float64 by default or float32
-inside a ``precision`` context.  Computation is numpy; the large forward
-kernels split their independent rows across one thread per CPU
-(`_split`), which changes no arithmetic, so identical inputs reproduce
-bit-identical results whatever the number of CPUs.
+inside a ``precision`` context, and ``no_grad`` turns recording off; both
+are context variables, so each thread keeps its own setting.
+Computation is numpy.  One pool of threads, one per CPU, takes parts of
+two kinds of independent work (`_deal`): the row blocks of a large
+forward kernel (`_split`) and the sequences of an evaluation
+(``training._scored_pairs``).  A part that reaches a large kernel runs
+its blocks itself, one after another.  None of this changes the
+arithmetic, so identical inputs reproduce bit-identical results whatever
+the number of CPUs.
 
 The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
@@ -36,27 +41,27 @@ from .errors import (ConfigError, DataError, DivergenceError, FormatError, Shape
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
-_grad_enabled = True
-_default_dtype = np.float64
+# Per-context state: a thread, or a part that `_deal` runs, sees its own.
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+_default_dtype = contextvars.ContextVar("default_dtype", default=np.float64)
 
 
 class no_grad:
-    """Context manager that skips tape construction (inference only)."""
+    """Context manager that skips tape construction (inference only) in the
+    current context; other threads keep their own setting."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
 class precision:
-    """Context manager selecting the dtype newly created Tensors use.
+    """Context manager selecting the dtype newly created Tensors use in the
+    current context; other threads keep their own setting.
 
     Tests and gradient checks run in float64 (the default); training may
     switch to float32 for speed.
@@ -68,14 +73,11 @@ class precision:
             raise ValueError(f"unsupported tensor dtype {dtype!r}")
 
     def __enter__(self):
-        global _default_dtype
-        self._prev = _default_dtype
-        _default_dtype = self._dtype
+        self._token = _default_dtype.set(self._dtype)
         return self
 
     def __exit__(self, *exc):
-        global _default_dtype
-        _default_dtype = self._prev
+        _default_dtype.reset(self._token)
         return False
 
 
@@ -102,7 +104,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_default_dtype)
+        self.data = np.asarray(data, dtype=_default_dtype.get())
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -115,7 +117,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled.get() and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -406,29 +408,71 @@ def _cpu_count() -> int:
 
 
 _WORKERS = _cpu_count()
-_pool = None  # (ThreadPoolExecutor, its thread count), made by the first split
+_pool = None  # (ThreadPoolExecutor, its thread count), made by the first deal
+_in_part = contextvars.ContextVar("in_part", default=False)
+
+
+def _deal(run, count: int) -> None:
+    """Run ``run(first, last)`` over range(count) in contiguous runs, one
+    part per CPU the process may use.
+
+    The caller runs the first part and a lazily made thread pool the
+    others, each in a copy of the caller's context, so numpy's error state
+    (``np.errstate``), `no_grad` and `precision` hold in every part and
+    what a part sets there stays in that part.  The call returns, or
+    raises the first part's exception, only once every part has finished.
+    Two callers deal work to the one pool: `_split`, the blocks of one
+    large forward kernel, and ``training._scored_pairs``, the sequences of
+    an evaluation.
+
+    A part that deals again (a sequence part reaching a large kernel) runs
+    the whole range itself, in order: its siblings hold every other
+    worker, and a pool thread that waited on its own pool would wait
+    forever.  Both callers cut their ranges independently of the number of
+    parts, so running one inline changes no result.
+    """
+    parts = min(_WORKERS, count)
+    if parts <= 1 or _in_part.get():
+        run(0, count)
+        return
+    global _pool
+    if _pool is None or _pool[1] != _WORKERS - 1:
+        _pool = (ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="poselift-part"),
+                 _WORKERS - 1)
+    deal = [count * i // parts for i in range(parts + 1)]
+    futures = [_pool[0].submit(contextvars.copy_context().run, _part, run, first, last)
+               for first, last in zip(deal[1:-1], deal[2:])]
+    try:
+        contextvars.copy_context().run(_part, run, deal[0], deal[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _part(run, first: int, last: int) -> None:
+    # The body of one `_deal` part, in its own copy of the caller's context.
+    _in_part.set(True)
+    run(first, last)
 
 
 def _split(fn, n: int, size: int) -> None:
     """Run ``fn(start, stop)`` over range(n), whose output has `size`
     elements: as the one call fn(0, n) below _SPLIT_MIN_ELEMENTS, and else
     over contiguous blocks of about _SPLIT_BLOCK_ELEMENTS output elements,
-    dealt in contiguous runs to one part per CPU the process may use.
+    which `_deal` hands out in contiguous runs, one part per CPU.
 
-    The caller runs the first part and a lazily made thread pool the
-    others, each in a copy of the caller's context, so numpy's error state
-    (``np.errstate``, a context variable) holds in every part.  The call
-    returns, or raises the first part's exception, only once every part
-    has finished.  A block reads and writes only its own rows of ndarrays:
-    it makes no Tensor, reads no tape or precision setting and draws from
-    no rng.  The blocks do not depend on the number of CPUs, so neither
-    does the result.
+    A block reads and writes only its own rows of ndarrays: it makes no
+    Tensor, reads no tape or precision setting and draws from no rng.  The
+    blocks do not depend on the number of CPUs, so neither does the
+    result, whether the blocks run in parts or, inside a sequence part of
+    an evaluation, one after another on that part's thread.
 
-    Only forward kernels split: every backward, batch norm's batch
-    statistics and dropout's draws stay serial.  A backward accumulates
-    across rows into shared gradients (the weight gradient, `_unbroadcast`'s
-    sums) in an order the seeded runs depend on, and batch statistics and
-    rng draws are one sequence over the whole batch.
+    Only forward kernels split into blocks: every backward, batch norm's
+    batch statistics and dropout's draws stay serial.  A backward
+    accumulates across rows into shared gradients (the weight gradient,
+    `_unbroadcast`'s sums) in an order the seeded runs depend on, and batch
+    statistics and rng draws are one sequence over the whole batch.
 
     The cut-off keeps small calls on one thread, where the handoff costs
     more than the half it saves and each part's temporaries add to the
@@ -444,6 +488,8 @@ def _split(fn, n: int, size: int) -> None:
     and the small-array workloads stay serial: the largest output in a
     T=27 training step (C=64, B=8) has 470k elements, in a T=27
     evaluation 59k, while a T=243 C=384 lift splits 121 calls of 1.59M.
+    An evaluation of many small sequences uses both CPUs by lifting whole
+    sequences in parallel instead (``training._scored_pairs``).
 
     Blocks bound what a part allocates at once.  Each thread allocates
     from its own malloc arena, which keeps much of what it frees: cut into
@@ -465,23 +511,7 @@ def _split(fn, n: int, size: int) -> None:
         for i in range(first, last):
             fn(cuts[i], cuts[i + 1])
 
-    parts = min(_WORKERS, count)
-    if parts <= 1:
-        run(0, count)
-        return
-    global _pool
-    if _pool is None or _pool[1] != _WORKERS - 1:
-        _pool = (ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="poselift-split"),
-                 _WORKERS - 1)
-    deal = [count * i // parts for i in range(parts + 1)]
-    futures = [_pool[0].submit(contextvars.copy_context().run, run, first, last)
-               for first, last in zip(deal[1:-1], deal[2:])]
-    try:
-        run(deal[0], deal[1])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    _deal(run, count)
 
 
 def _blocks(size: int) -> int:
@@ -869,7 +899,7 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
         raise ShapeError(f"{k.data.shape[-2]} keys vs {v.data.shape[-2]} values")
     scale = float(1.0 / np.sqrt(d) if scale is None else scale)
 
-    record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    record = _grad_enabled.get() and (q.requires_grad or k.requires_grad or v.requires_grad)
     weights, row_max, row_sum, out_data = _attend(q.data, k.data, v.data, scale,
                                                   attn_sink is not None, record)
     if attn_sink is not None:
@@ -1043,7 +1073,7 @@ def gelu(x, w=None, b=None, residual=None) -> Tensor:
         raise ShapeError(f"gelu: residual {residual.data.shape} vs value {shape}")
     # The residual first, as in `dropout`.
     parents = tuple(t for t in (residual, x, w, b) if t is not None)
-    record = _grad_enabled and any(p.requires_grad for p in parents)
+    record = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = np.empty(shape, dtype if residual is None else np.result_type(dtype, residual.data))
     d = np.empty(shape, dtype) if record else None
     # Rows, or the matrices of a batched projection, to cut into blocks.

@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, DivergenceError, config_from_dict
 from .losses import total_loss
 from .metrics import EvalReport, evaluate_sequences, mpjpe, root_relative
 from .network import ModelConfig, PoseLifter, two_stage_forward
-from .numerics import load_checkpoint, no_grad, precision, save_checkpoint
+from .numerics import _deal, load_checkpoint, no_grad, precision, save_checkpoint
 from .skeleton import SkeletonGraph, human36m_skeleton, load_skeleton
 
 MM_PER_UNIT = 1000.0
@@ -254,22 +254,36 @@ def _stage_models(cfg: TrainConfig, skeleton: SkeletonGraph,
 
 
 def _scored_pairs(model: PoseLifter, preliminary: PoseLifter | None, x2d_all: np.ndarray,
-                  y_all: np.ndarray, indices, cfg: TrainConfig, root_index: int):
-    """Yield (pred, ref) per sequence in `indices`: the clean eval-mode
-    prediction and its target, float64 metres, both root-relative when
-    cfg.root_center is set.  A non-finite prediction raises DivergenceError."""
-    for i in indices:
-        with no_grad():
+                  y_all: np.ndarray, indices, cfg: TrainConfig, root_index: int) -> list:
+    """[(pred, ref)] per sequence in `indices`, in their order: the clean
+    eval-mode prediction and its target, float64 metres, both root-relative
+    when cfg.root_center is set.
+
+    The sequences are independent, so they are lifted in parallel parts
+    (`numerics._deal`), each part a contiguous run of `indices` on one
+    CPU; the predictions equal a serial loop's bit for bit.  A non-finite
+    prediction raises DivergenceError naming the first such sequence in
+    `indices`, as the serial loop would."""
+    indices = list(indices)
+    pairs = [None] * len(indices)
+
+    def score(first, last):
+        for j in range(first, last):
+            i = indices[j]
             if preliminary is not None:
                 out = two_stage_forward(x2d_all[i], preliminary, model)
             else:
                 out = model.forward(x2d_all[i])
-        pred, ref = out.data.astype(np.float64), y_all[i]
-        if not np.isfinite(pred).all():
-            raise DivergenceError(f"non-finite prediction for sequence {i}")
-        if cfg.root_center:
-            pred, ref = root_relative(pred, root_index), root_relative(ref, root_index)
-        yield pred, ref
+            pred, ref = out.data.astype(np.float64), y_all[i]
+            if not np.isfinite(pred).all():
+                raise DivergenceError(f"non-finite prediction for sequence {i}")
+            if cfg.root_center:
+                pred, ref = root_relative(pred, root_index), root_relative(ref, root_index)
+            pairs[j] = pred, ref
+
+    with no_grad():
+        _deal(score, len(indices))
+    return pairs
 
 
 def train(cfg: TrainConfig) -> TrainResult:

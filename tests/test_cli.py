@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -152,6 +153,21 @@ class TestTrainEvalCli:
         report = json.loads(capsys.readouterr().out)
         assert {"mpjpe_mm", "p_mpjpe_mm", "mpjve_mm_per_frame"} <= set(report)
         assert per_action.read_text().startswith("action,")
+
+    def test_eval_reports_its_timing_on_stderr(self, tmp_path, capsys):
+        data_dir = tmp_path / "ds"
+        assert run(["gen-data", "--out", data_dir, "--count", 3, "--frames", 9]) == 0
+        cfg_path = write_train_config(tmp_path, data_dir, tmp_path / "run", epochs=1)
+        assert run(["train", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg_path]) == 0
+        captured = capsys.readouterr()
+        assert set(json.loads(captured.out)) >= {"mpjpe_mm", "per_action"}
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        match = re.fullmatch(r"evaluated 3 sequences in (\S+) s \((\S+) sequences/s\)", lines[0])
+        assert match, lines[0]
+        assert float(match[1]) >= 0 and float(match[2]) > 0
 
     def test_flag_overrides(self, tmp_path, capsys):
         data_dir = tmp_path / "ds"

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import poselift as pl
 from poselift import numerics
 from poselift.errors import DataError, FormatError, ShapeError, TruncatedFileError
 from poselift.network import ModelConfig, PoseLifter
@@ -887,6 +889,78 @@ class TestSplitErrors:
         with pytest.raises(ValueError, match=f"part {failing} failed"):
             numerics._split(part, 3, numerics._SPLIT_MIN_ELEMENTS)
         assert sorted(finished) == [i for i in range(3) if i != failing]
+
+
+class TestContextState:
+    """`no_grad` and `precision` belong to the context that enters them: a
+    thread that enters and leaves one while the caller is inside the other
+    changes neither what the caller records nor the dtype it makes."""
+
+    @staticmethod
+    def made():
+        """(dtype of a new Tensor, whether an op on a leaf records)."""
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        return leaf.data.dtype, (leaf * 2.0).requires_grad
+
+    def made_while_other_thread_inside(self, manager):
+        """`made()` while another thread sits inside `manager`, and again
+        once it has left."""
+        entered, leave = threading.Event(), threading.Event()
+
+        def other():
+            with manager:
+                entered.set()
+                leave.wait(10)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            inside = self.made()
+        finally:
+            leave.set()
+            thread.join()
+        return inside, self.made()
+
+    def test_other_threads_no_grad_keeps_the_callers_recording(self):
+        with precision(np.float32):
+            inside, after = self.made_while_other_thread_inside(no_grad())
+        assert inside == after == (np.float32, True)
+        assert self.made() == (np.float64, True)
+
+    def test_other_threads_precision_keeps_the_callers_dtype(self):
+        with no_grad():
+            inside, after = self.made_while_other_thread_inside(precision(np.float32))
+        assert inside == after == (np.float64, False)
+        assert self.made() == (np.float64, True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("outer", ["none", "no_grad float32"])
+    def test_evaluate_leaves_the_callers_state(self, tmp_path, monkeypatch, workers, outer):
+        # evaluate enters precision and no_grad, and with two workers lifts
+        # sequences on the pool thread; afterwards the caller's state is as
+        # it was before the call.
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        skeleton = human36m_skeleton()
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for i in range(3):
+            pl.write_sequence(pl.generate_motion(skeleton, frames=9, seed=90 + i),
+                              data_dir / f"seq_{i}.pseq")
+        pl.save_skeleton(skeleton, data_dir / "skeleton.json")
+        model = ModelConfig(frames=9, channels_in=2, embed_dim=8, depth=1,
+                            ste_heads=2, tte_heads=2, hga_heads=2)
+        cfg = pl.TrainConfig(data_dir=str(data_dir), model=model,
+                             precision="float32" if outer == "none" else "float64")
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(PoseLifter(model, skeleton).state_dict(), checkpoint)
+        if outer == "none":
+            pl.evaluate(cfg, checkpoint=str(checkpoint))
+            assert self.made() == (np.float64, True)
+        else:
+            with no_grad(), precision(np.float32):
+                pl.evaluate(cfg, checkpoint=str(checkpoint))
+                assert self.made() == (np.float32, False)
 
 
 class TestCheckpointFormat:

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import poselift as pl
+from poselift import numerics, training
 from poselift.errors import ConfigError, DataError, DivergenceError
 from poselift.network import ModelConfig
 from poselift.training import (AdamW, TrainConfig, adamw_step, clip_gradients, evaluate,
@@ -315,6 +319,108 @@ class TestEvaluate:
         report = evaluate(cfg, checkpoint=result.best_checkpoint, central_frame=True)
         assert report.mpjve_mm_per_frame is None
         assert np.isfinite(report.mpjpe_mm)
+
+
+class TestParallelScoring:
+    """`evaluate` and `train`'s validation lift their sequences in parallel
+    parts of the worker pool (`numerics._deal`) and give the serial results
+    bit for bit, in the order of the sequences."""
+
+    @pytest.fixture(scope="class")
+    def stages(self, tmp_path_factory):
+        """Five sequences and the config of each stage, trained briefly."""
+        tmp_path = tmp_path_factory.mktemp("stages")
+        data_dir = make_dataset(tmp_path, count=5)
+        pre = tiny_train_config(data_dir, tmp_path / "pre")
+        pre_result = train(pre)
+        main = tiny_train_config(data_dir, tmp_path / "main", stage="main",
+                                 preliminary_checkpoint=pre_result.best_checkpoint)
+        train(main)
+        return {"preliminary": pre, "main": main}
+
+    @staticmethod
+    def evaluated(cfg, monkeypatch, workers, **kwargs):
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        return evaluate(cfg, **kwargs).to_dict()
+
+    @pytest.mark.parametrize("stage", ["preliminary", "main"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("central_frame", [False, True])
+    def test_report_equals_serial(self, stages, monkeypatch, stage, precision, central_frame):
+        cfg = TrainConfig.from_dict({**json.loads(stages[stage].to_json()),
+                                     "precision": precision})
+        serial = self.evaluated(cfg, monkeypatch, 1, central_frame=central_frame)
+        for workers in (2, 3):
+            report = self.evaluated(cfg, monkeypatch, workers, central_frame=central_frame)
+            assert report.keys() == serial.keys()
+            for name in serial:
+                assert report[name] == serial[name], name
+
+    def test_validation_history_equals_serial(self, tmp_path, monkeypatch):
+        data_dir = make_dataset(tmp_path, count=5)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            result = train(tiny_train_config(data_dir, tmp_path / str(workers),
+                                              val_fraction=0.6))
+            runs.append((result.epoch_val_mpjpe, result.epoch_losses,
+                         Path(result.best_checkpoint).read_bytes()))
+        assert len(runs[0][0]) == 2
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [(1, 3), (3, 4), (0, 4)])
+    def test_non_finite_prediction_names_the_first_sequence(self, stages, monkeypatch,
+                                                            workers, bad):
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        cfg = stages["preliminary"]
+        sequences, _, skeleton = load_dataset(cfg.data_dir)
+        x2d, y = prepare_pairs(sequences, skeleton)
+        x2d[list(bad)] = np.nan
+        with pl.precision(cfg.precision):
+            model, preliminary = training._stage_models(
+                cfg, skeleton, str(Path(cfg.out_dir) / "best.ckpt"))
+            with pytest.raises(DivergenceError, match=rf"sequence {bad[0]}$"):
+                training._scored_pairs(model, preliminary, x2d, y, range(len(x2d)), cfg,
+                                       skeleton.root_index)
+
+    def test_nested_split_runs_inline_without_a_hang(self, stages, monkeypatch, tmp_path):
+        # Every kernel splits into blocks: a sequence part on the pool thread
+        # that dealt its blocks to its own one-thread pool would wait forever.
+        # A thread joined with a timeout would fail such a test but leave the
+        # stuck pool thread, which interpreter exit joins forever, so the
+        # evaluation runs in a child process that is killed on time-out.
+        cfg_path = tmp_path / "main.json"
+        cfg_path.write_text(stages["main"].to_json())
+        serial = self.evaluated(stages["main"], monkeypatch, 1)
+        env = {**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
+        try:
+            child = subprocess.run([sys.executable, "-c", NESTED_EVALUATE, str(cfg_path)],
+                                   capture_output=True, text=True, env=env, timeout=120)
+        except subprocess.TimeoutExpired:
+            pytest.fail("evaluate did not finish: a nested deal waited on its own pool")
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout)
+        assert result["nested_deals"] > 0
+        assert result["report"] == json.loads(json.dumps(serial))
+
+
+# `evaluate` on two workers with every kernel cut into blocks of 64 output
+# elements; prints the report and how many deals ran inside a part.
+NESTED_EVALUATE = """
+import json, sys
+from poselift import numerics, training
+numerics._SPLIT_MIN_ELEMENTS = 0
+numerics._SPLIT_BLOCK_ELEMENTS = 64
+numerics._WORKERS = 2
+deal, nested = numerics._deal, []
+def counted(run, count):
+    nested.append(numerics._in_part.get() and count > 1)
+    deal(run, count)
+numerics._deal = training._deal = counted
+report = training.evaluate(training.TrainConfig.from_json_file(sys.argv[1])).to_dict()
+print(json.dumps({"report": report, "nested_deals": sum(nested)}))
+"""
 
 
 class TestDivergenceHandling:
