@@ -267,8 +267,8 @@ class NoiseConfig:
         if len(self.groups) != len(self.stds):
             raise ConfigError(f"{len(self.groups)} groups vs {len(self.stds)} stds")
         for s in self.stds:
-            if s < 0:
-                raise ConfigError(f"noise std must be >= 0, got {s}")
+            if not 0 <= s < np.inf:
+                raise ConfigError(f"noise std must be finite and >= 0, got {s}")
 
     def validate_partition(self, joints: int) -> None:
         seen: list[int] = []

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward
 from .losses import LossWeights
-from .numerics import (Module, Parameter, Tensor, as_tensor, dropout, gelu, layer_norm,
-                       linear, no_grad, scaled_dot_attention, uniform_init)
+from .numerics import (Module, Parameter, Tensor, _deal, _default_dtype, _grad_enabled,
+                       as_tensor, dropout, gelu, layer_norm, linear, no_grad,
+                       scaled_dot_attention, uniform_init)
 from .skeleton import SkeletonGraph, _hybrid_weights, build_hybrid_adjacency
 
 
@@ -167,6 +168,61 @@ def temporal_block_forward(x, block: TemporalBlock, training: bool = False,
     return x.swapaxes(-3, -2)
 
 
+_SPLIT_MIN_ELEMENTS = 1 << 20    # activation elements from which a forward uses every CPU
+_SPLIT_BLOCK_ELEMENTS = 1 << 18  # activation elements per chunk of a block
+
+
+def _in_parts(block, x: Tensor, axis: int, deal: bool) -> Tensor:
+    """``block(x)``; if `deal`, computed chunk by chunk, for a `block` that
+    maps each index of `x` on `axis` alone to an output of x's shape and
+    dtype.  The chunks, of about _SPLIT_BLOCK_ELEMENTS elements, are views
+    of `x`; `_deal` hands them out in contiguous runs, one part per CPU,
+    and each writes its output into one preallocated array.
+
+    `PoseLifter.forward` deals from _SPLIT_MIN_ELEMENTS activation
+    elements when no tape, batch statistics, dropout draw or attention
+    sink spans the chunks.  The chunks do not depend on the number of
+    CPUs, and every kernel in a block works per leading index, per row or
+    per element, so the result is the serial one bit for bit.
+
+    The cut-off was measured on a 2-vCPU Xeon in float32 with one BLAS
+    thread, when the same sizes split each large forward kernel by rows:
+    two parts beat one from about 26k output elements for GELU and the
+    C=384 flat GEMM, 100k for layer norm and 200k for a (1,17,8,T,48)
+    attention, and at 1.59M (the T=243 lift's activations) took 0.51-0.58
+    of the serial time, but 0.95-1.04 where the pool thread stayed on the
+    caller's CPU.  At 2^20 elements a call that gains nothing loses a few
+    percent at most, and the small-array workloads stay serial: a T=27
+    training step (C=64, B=8) has 235k activation elements and records
+    anyway, a T=27 evaluation 29k, while a T=243 C=384 lift has 1.59M.
+    An evaluation of many small sequences uses every CPU by lifting whole
+    sequences in parallel instead (``training._scored_pairs``).
+
+    Chunks bound what a part allocates at once.  Each thread allocates
+    from its own malloc arena, which keeps much of what it frees.  On the
+    T=243 lift (two 10 s perfbench runs each, corrected op time and peak
+    RSS): one chunk per part 0.97-1.00 s and 203.5 MB, chunks of 2^18
+    elements (1 MiB in float32, inside the 2 MiB L2 per core) 0.91-0.93 s
+    and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16 1.02 s and
+    173 MB.
+    """
+    n = x.data.shape[axis]
+    count = min(n, x.data.size // _SPLIT_BLOCK_ELEMENTS) if deal else 1
+    if count <= 1:
+        return block(x)
+    out = np.empty_like(x.data)
+    cuts = [n * i // count for i in range(count + 1)]
+    lead = (slice(None),) * (axis % x.data.ndim)
+
+    def run(first, last):
+        for i in range(first, last):
+            rows = lead + (slice(cuts[i], cuts[i + 1]),)
+            out[rows] = block(Tensor(x.data[rows])).data
+
+    _deal(run, count)
+    return Tensor(out)
+
+
 def regression_head(x, w_head, b_head=None) -> Tensor:
     """Per-joint linear map from the embedding space to 3D coordinates."""
     return linear(x, w_head, b_head)
@@ -213,11 +269,20 @@ class PoseLifter(Module):
             raise ShapeError(f"expected {cfg.frames} frames x {cfg.joints} joints, got {x.data.shape}")
         drop = cfg.dropout
         e = embed_input(x, self.w_emb, self.b_emb, self.pe_spatial)
+        # A spatial block acts on each frame alone and a temporal block on
+        # each joint alone, unless a tape, batch statistics, dropout draws
+        # or a sink span them.  A chunk's output has e's dtype only if every
+        # parameter and the default dtype (the skeletal adjacency's) have it.
+        deal = (e.data.size >= _SPLIT_MIN_ELEMENTS and not training and attn_sink is None
+                 and not _grad_enabled.get() and e.data.dtype == _default_dtype.get()
+                 and all(p.data.dtype == e.data.dtype for p in self.parameters()))
         adj = self.hybrid.skeletal
         for l, (sb, tb) in enumerate(self.blocks):
-            e = spatial_block_forward(e, sb, adj, training, rng, drop, attn_sink)
-            e = temporal_block_forward(e, tb, training, rng, drop,
-                                       self.pe_temporal if l == 0 else None)
+            pe = self.pe_temporal if l == 0 else None
+            e = _in_parts(lambda t: spatial_block_forward(t, sb, adj, training, rng, drop,
+                                                          attn_sink), e, -3, deal)
+            e = _in_parts(lambda t: temporal_block_forward(t, tb, training, rng, drop, pe),
+                          e, -2, deal)
         return regression_head(e, self.w_head, self.b_head)
 
 

@@ -6,13 +6,14 @@ DAG, and ``Tensor.backward`` replays the DAG in reverse topological order
 to accumulate gradients.  Tensors hold float64 by default or float32
 inside a ``precision`` context, and ``no_grad`` turns recording off; both
 are context variables, so each thread keeps its own setting.
-Computation is numpy.  One pool of threads, one per CPU, takes parts of
-two kinds of independent work (`_deal`): the row blocks of a large
-forward kernel (`_split`) and the sequences of an evaluation
-(``training._scored_pairs``).  A part that reaches a large kernel runs
-its blocks itself, one after another.  None of this changes the
-arithmetic, so identical inputs reproduce bit-identical results whatever
-the number of CPUs.
+Computation is numpy, and each kernel runs once on its whole arrays.
+One pool of threads, one per CPU, takes parts of two kinds of
+independent work (`_deal`): the frame or joint chunks of a block in a
+large no-grad forward (``network.PoseLifter.forward``) and the sequences
+of an evaluation (``training._scored_pairs``).  A part that reaches a
+large forward runs its chunks itself, one after another.  None of this
+changes the arithmetic, so identical inputs reproduce bit-identical
+results whatever the number of CPUs.
 
 The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
@@ -396,8 +397,6 @@ def l2norm_last(x) -> Tensor:
 _FLAT_GEMM_MIN_WEIGHT = 1 << 16   # weight entries from which `linear` flattens its GEMM
 _ROW_SWEEP_BELOW = 32             # softmax row length below which `_row_max` sweeps
 _ATTENTION_SLICE_BYTES = 1 << 21  # scores per slice in `scaled_dot_attention`
-_SPLIT_MIN_ELEMENTS = 1 << 20     # output elements from which `_split` uses every CPU
-_SPLIT_BLOCK_ELEMENTS = 1 << 18   # output elements per block of a call `_split` cuts
 
 
 def _cpu_count() -> int:
@@ -421,12 +420,12 @@ def _deal(run, count: int) -> None:
     (``np.errstate``), `no_grad` and `precision` hold in every part and
     what a part sets there stays in that part.  The call returns, or
     raises the first part's exception, only once every part has finished.
-    Two callers deal work to the one pool: `_split`, the blocks of one
-    large forward kernel, and ``training._scored_pairs``, the sequences of
-    an evaluation.
+    Two callers deal work to the one pool: ``network.PoseLifter.forward``,
+    the frame or joint chunks of one block of a large no-grad forward, and
+    ``training._scored_pairs``, the sequences of an evaluation.
 
-    A part that deals again (a sequence part reaching a large kernel) runs
-    the whole range itself, in order: its siblings hold every other
+    A part that deals again (a sequence part reaching a large forward)
+    runs the whole range itself, in order: its siblings hold every other
     worker, and a pool thread that waited on its own pool would wait
     forever.  Both callers cut their ranges independently of the number of
     parts, so running one inline changes no result.
@@ -456,91 +455,6 @@ def _part(run, first: int, last: int) -> None:
     run(first, last)
 
 
-def _split(fn, n: int, size: int) -> None:
-    """Run ``fn(start, stop)`` over range(n), whose output has `size`
-    elements: as the one call fn(0, n) below _SPLIT_MIN_ELEMENTS, and else
-    over contiguous blocks of about _SPLIT_BLOCK_ELEMENTS output elements,
-    which `_deal` hands out in contiguous runs, one part per CPU.
-
-    A block reads and writes only its own rows of ndarrays: it makes no
-    Tensor, reads no tape or precision setting and draws from no rng.  The
-    blocks do not depend on the number of CPUs, so neither does the
-    result, whether the blocks run in parts or, inside a sequence part of
-    an evaluation, one after another on that part's thread.
-
-    Only forward kernels split into blocks: every backward, batch norm's
-    batch statistics and dropout's draws stay serial.  A backward
-    accumulates across rows into shared gradients (the weight gradient,
-    `_unbroadcast`'s sums) in an order the seeded runs depend on, and batch
-    statistics and rng draws are one sequence over the whole batch.
-
-    The cut-off keeps small calls on one thread, where the handoff costs
-    more than the half it saves and each part's temporaries add to the
-    peak.  On the 2-vCPU Xeon this was measured on (float32, one BLAS
-    thread, medians of 30 interleaved calls), two parts beat one from
-    about 26k output elements for GELU and the C=384 flat GEMM, 100k for
-    layer norm and 200k for a (1,17,8,T,48) attention, and at 1.59M (the
-    T=243 lift's arrays) took 0.51, 0.56, 0.57 and 0.58 of the serial
-    time.  The second vCPU is not always there to take a part: in runs
-    where the kernel left the pool thread on the caller's CPU, two parts
-    took 0.95-1.04 of the serial time at 1.59M and 1.1-1.8 at 13-52k.  At
-    2^20 elements a call that gains nothing loses a few percent at most,
-    and the small-array workloads stay serial: the largest output in a
-    T=27 training step (C=64, B=8) has 470k elements, in a T=27
-    evaluation 59k, while a T=243 C=384 lift splits 121 calls of 1.59M.
-    An evaluation of many small sequences uses both CPUs by lifting whole
-    sequences in parallel instead (``training._scored_pairs``).
-
-    Blocks bound what a part allocates at once.  Each thread allocates
-    from its own malloc arena, which keeps much of what it frees: cut into
-    one block per part, the T=243 lift's peak RSS was 203-206 MB against
-    195 MB serial (1.76-1.79 s per corrected op).  Blocks of 2^18 elements
-    (1 MiB in float32, inside the 2 MiB L2 per core) brought it to 192-194
-    MB at 0.97-1.04 s; blocks of 2^17 and 2^16 took 1.02-1.07 and
-    1.10-1.15 s (two 10 s perfbench runs each).  A block of a flat GEMM
-    narrower than 2^17 columns holds at least two rows: numpy computes a
-    one-row product as a matrix-vector one, which need not round alike.
-    """
-    count = min(n, _blocks(size))
-    if count <= 1:
-        fn(0, n)
-        return
-    cuts = [n * i // count for i in range(count + 1)]
-
-    def run(first, last):
-        for i in range(first, last):
-            fn(cuts[i], cuts[i + 1])
-
-    _deal(run, count)
-
-
-def _blocks(size: int) -> int:
-    """How many blocks `_split` cuts a call whose output has `size` elements
-    into, if its range is long enough."""
-    return max(1, size // _SPLIT_BLOCK_ELEMENTS) if size >= _SPLIT_MIN_ELEMENTS else 1
-
-
-def _lead(a: np.ndarray, keep: int) -> np.ndarray:
-    """`a` as (L, *a.shape[-keep:]), its other axes flattened into one
-    leading axis of L entries (a view of a contiguous `a`)."""
-    split = max(a.ndim - keep, 0)
-    return a.reshape((math.prod(a.shape[:split]),) + a.shape[split:])
-
-
-def _split_rows(kernel, size: int, *arrays) -> None:
-    """``kernel(*views)`` of the (array, keep) pairs `arrays`, the first one
-    the output of `size` elements: one call on the whole arrays when
-    `_split` would not cut it, and else one per block, on the block's rows
-    of each array seen as (L, *its last `keep` axes).  A None array is
-    passed as None."""
-    if _blocks(size) <= 1:
-        kernel(*[a for a, _ in arrays])
-        return
-    rows = [None if a is None else _lead(a, keep) for a, keep in arrays]
-    _split(lambda start, stop: kernel(*(None if r is None else r[start:stop] for r in rows)),
-           len(rows[0]), size)
-
-
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Initial weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(fan_in)
@@ -565,10 +479,9 @@ def _project(x: np.ndarray, w: Tensor, b, out: np.ndarray | None = None) -> np.n
 def _linear_data(x, w: Tensor, b, heads: int | None = None,
                  merge_heads: bool = False) -> np.ndarray:
     """The value of ``linear(x, w, b, heads, merge_heads)`` for an ndarray or
-    a tuple of ndarrays `x`, computed by `_split_rows`: each block
-    concatenates and projects its own rows and writes them in the output's
-    layout.  Blocks are cut between rows of the flat GEMM, and else between
-    the matrices of the batched one (whole (h, N, K) stacks when merging)."""
+    a tuple of ndarrays `x`: the output in its own layout is allocated
+    first, then the concatenated input is projected into it (heads split
+    by one copy, merged heads written head by head into their columns)."""
     xs = x if isinstance(x, tuple) else (x,)
     n = w.data.shape[1]
     shape = xs[0].shape[:-1] + (n,)
@@ -578,24 +491,15 @@ def _linear_data(x, w: Tensor, b, heads: int | None = None,
         h = shape[-3]
         shape = shape[:-3] + (shape[-2], h * n)
     out = np.empty(shape, np.result_type(*xs, w.data))
-    if heads is not None or merge_heads:
-        x_keep, out_keep = (3, 2) if merge_heads else (2, 3)
+    x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
+    if heads is not None:
+        out[...] = _head_view(_project(x, w, b), heads)
+    elif merge_heads:
+        merged = out.reshape(out.shape[:-1] + (h, n))
+        for i in range(h):
+            _project(x[..., i, :, :], w, b, out=merged[..., i, :])
     else:
-        x_keep = out_keep = 1 if w.data.size >= _FLAT_GEMM_MIN_WEIGHT else 2
-
-    def kernel(o, *parts):
-        xp = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        if heads is not None:
-            o[...] = _head_view(_project(xp, w, b), heads)
-        elif merge_heads:
-            # Head i's products go straight to their strided columns.
-            merged = o.reshape(o.shape[:-1] + (h, n))
-            for i in range(h):
-                _project(xp[..., i, :, :], w, b, out=merged[..., i, :])
-        else:
-            _project(xp, w, b, out=o)
-
-    _split_rows(kernel, out.size, (out, out_keep), *((a, x_keep) for a in xs))
+        _project(x, w, b, out=out)
     return out
 
 
@@ -735,46 +639,43 @@ def softmax_rows(x) -> Tensor:
     return Tensor._node(out_data, (x,), bw)
 
 
-def _attention_slices(lead: tuple, matrix_bytes: int, blocks: int = 1):
+def _attention_slices(lead: tuple, matrix_bytes: int):
     """Index tuples covering the leading shape `lead` in C order, each
-    selecting a contiguous block of (n, m) score matrices of `matrix_bytes`
-    each: at least one matrix, and at most _ATTENTION_SLICE_BYTES and (so
-    that `_split` can cut them into `blocks` even blocks) 1/`blocks` of
-    them all.
+    selecting a contiguous block of at most _ATTENTION_SLICE_BYTES of
+    (n, m) score matrices of `matrix_bytes` each, and at least one matrix.
 
     The trailing leading axes that fit are taken whole; the axis before
     them is cut into runs (the last one ragged), and the axes before that
     are indexed one at a time.  A `lead` that fits gives the one index ().
     """
-    budget = min(_ATTENTION_SLICE_BYTES, -(-math.prod(lead) * matrix_bytes // blocks))
     per, j = matrix_bytes, len(lead)
-    while j > 0 and per * lead[j - 1] <= budget:
+    while j > 0 and per * lead[j - 1] <= _ATTENTION_SLICE_BYTES:
         j -= 1
         per *= lead[j]
     if j == 0:
         yield ()
         return
-    step = max(1, budget // per)
+    step = max(1, _ATTENTION_SLICE_BYTES // per)
     for outer in np.ndindex(*lead[:j - 1]):
         for start in range(0, lead[j - 1], step):
             yield outer + (slice(start, start + step),)
 
 
-def _attention_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, slices):
-    """Yield (index, scaled queries, keys, values, scores buffer) per index
-    in `slices` of the broadcast leading axes of q, k and v, each operand a
-    view of that slice and the buffer, reused, holding its raw scores q k^T."""
+def _attention_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float):
+    """Yield (index, scaled queries, keys, values, scores buffer) per slice of
+    the broadcast leading axes of q, k and v, each operand a view of that
+    slice and the buffer, reused, holding the slice's raw scores q k^T."""
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    m = k.shape[-2]
+    n, m = q.shape[-2], k.shape[-2]
     q = np.broadcast_to(q, lead + q.shape[-2:])
     k = np.broadcast_to(k, lead + k.shape[-2:])
     v = np.broadcast_to(v, lead + v.shape[-2:])
     dtype = np.result_type(q, k)
     buffer = None
-    for idx in slices:
+    for idx in _attention_slices(lead, n * m * dtype.itemsize):
         qs = q[idx] if scale == 1.0 else q[idx] * scale
-        # A ragged slice takes a prefix; a part may start with one.
-        if buffer is None or len(buffer) < len(qs):
+        # The first slice is the largest; a ragged one takes a prefix.
+        if buffer is None:
             buffer = np.empty(qs.shape[:-1] + (m,), dtype)
         s = buffer[:len(qs)]
         np.matmul(qs, np.swapaxes(k[idx], -1, -2), out=s)
@@ -784,9 +685,8 @@ def _attention_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
             keep: bool, record: bool) -> tuple:
     """(weights, row max, row sum, output) of softmax(scale * q k^T) v, one
-    slice of the broadcast leading axes at a time, the slices cut into
-    `_split` blocks that each use their own scores buffer.  The weights are
-    None unless `keep`, the row statistics None unless `record`."""
+    slice of the broadcast leading axes at a time.  The weights are None
+    unless `keep`, the row statistics None unless `record`."""
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     n, m = q.shape[-2], k.shape[-2]
     dtype = np.result_type(q, k)
@@ -794,18 +694,13 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
     row_max = np.empty(lead + (n, 1), dtype) if record else None
     row_sum = np.empty(lead + (n, 1), dtype) if record else None
     out_data = np.empty(lead + (n, v.shape[-1]), np.result_type(dtype, v))
-    slices = list(_attention_slices(lead, n * m * dtype.itemsize, _blocks(out_data.size)))
-
-    def part(start, stop):
-        for idx, _, _, vs, s in _attention_scores(q, k, v, scale, slices[start:stop]):
-            stats = _softmax_inplace(s)
-            if record:
-                row_max[idx], row_sum[idx] = stats
-            if keep:
-                weights[idx] = s
-            np.matmul(s, vs, out=out_data[idx])
-
-    _split(part, len(slices), out_data.size)
+    for idx, _, _, vs, s in _attention_scores(q, k, v, scale):
+        stats = _softmax_inplace(s)
+        if record:
+            row_max[idx], row_sum[idx] = stats
+        if keep:
+            weights[idx] = s
+        np.matmul(s, vs, out=out_data[idx])
     return weights, row_max, row_sum, out_data
 
 
@@ -823,9 +718,7 @@ def _attend_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
              for a, need in zip((q, k, v), needs)]
     gq, gk, gv = grads
     dp_buffer = None
-    matrix_bytes = q.shape[-2] * k.shape[-2] * np.result_type(q, k).itemsize
-    for idx, qs, ks, vs, p in _attention_scores(q, k, v, scale,
-                                                _attention_slices(lead, matrix_bytes)):
+    for idx, qs, ks, vs, p in _attention_scores(q, k, v, scale):
         p -= row_max[idx]
         np.exp(p, out=p)
         p /= row_sum[idx]
@@ -862,10 +755,7 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
     leading axes at a time (`_attention_slices`), each slice's scores at
     most _ATTENTION_SLICE_BYTES, in one reused slice-sized buffer and into
     one preallocated output, so no call holds the whole score matrix
-    unless `attn_sink` asks for it (Rabe & Staats 2021).  The forward's
-    slices are cut into `_split` blocks, each with its own buffer; when it
-    splits, a slice holds at most 1/blocks of the scores, so that the
-    blocks come out even.  A recording call
+    unless `attn_sink` asks for it (Rabe & Staats 2021).  A recording call
     keeps only each row's softmax max and sum, two (..., n, 1) arrays, as
     FlashAttention does (Dao et al. 2022).  The backward walks the same
     slices and rebuilds each slice's weights P in one buffer by the
@@ -954,51 +844,30 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None =
     (1,27,17,64) layer norm 113 us against 169 us, and of a
     (1,243,17,384) one 3.6 ms against 4.8 ms.
 
-    Layer norm (`axes` (-1,)) and constant statistics work row by row, in
-    `_split_rows` blocks; batch statistics are one reduction over every row
-    and stay serial.
+    The output is allocated first, and `xhat` becomes it in place: each of
+    the products by 1/sigma and gamma and the sum with beta is rounded alone.
     """
     gamma = as_tensor(gamma) if gamma is not None else None
     beta = as_tensor(beta) if beta is not None else None
     dtype = x.data.dtype
     affine = tuple(p.data for p in (gamma, beta) if p is not None)
     out_data = np.empty(x.data.shape, np.result_type(dtype, *affine))
-
-    def finish(xhat, inv, o):
-        # xhat * inv * gamma + beta into `o`, each product and sum rounded alone.
-        xhat *= inv
-        if gamma is not None:
-            xhat = np.multiply(xhat, gamma.data, out=o)
-        if beta is not None:
-            np.add(xhat, beta.data, out=o)
-        elif xhat is not o:
-            o[...] = xhat
-
-    if stats is not None:
-        mu, var = stats
-        centre = mu.astype(dtype)  # a copy: batch norm updates its running mean in place
-        inv = (1.0 / np.sqrt(var + NORM_EPS)).astype(dtype, copy=False)
-        _split_rows(lambda o, xp: finish(xp - centre, inv, o), out_data.size,
-                    (out_data, 1), (x.data, 1))
-    elif axes == (-1,):
-        mu = centre = np.empty(x.data.shape[:-1] + (1,), dtype)
-        var = np.empty_like(mu)
-        inv = np.empty_like(mu)
-
-        def kernel(o, xp, m, v, iv):
-            xp.mean(axis=-1, keepdims=True, out=m)
-            xhat = xp - m
-            np.multiply(xhat, xhat).mean(axis=-1, keepdims=True, out=v)
-            np.divide(1.0, np.sqrt(v + NORM_EPS), out=iv)
-            finish(xhat, iv, o)
-
-        _split_rows(kernel, out_data.size, (out_data, 1), (x.data, 1), (mu, 1), (var, 1), (inv, 1))
-    else:
+    if stats is None:
         mu = centre = x.data.mean(axis=axes, keepdims=True)
         xhat = x.data - centre
         var = np.multiply(xhat, xhat).mean(axis=axes, keepdims=True)
-        inv = (1.0 / np.sqrt(var + NORM_EPS)).astype(dtype, copy=False)
-        finish(xhat, inv, out_data)
+    else:
+        mu, var = stats
+        centre = mu.astype(dtype)  # a copy: batch norm updates its running mean in place
+        xhat = x.data - centre
+    inv = (1.0 / np.sqrt(var + NORM_EPS)).astype(dtype, copy=False)
+    xhat *= inv
+    if gamma is not None:
+        xhat = np.multiply(xhat, gamma.data, out=out_data)
+    if beta is not None:
+        np.add(xhat, beta.data, out=out_data)
+    elif xhat is not out_data:
+        out_data[...] = xhat
     parents = (x,) + tuple(p for p in (gamma, beta) if p is not None)
 
     def bw(g):
@@ -1061,8 +930,8 @@ def gelu(x, w=None, b=None, residual=None) -> Tensor:
     Tensors `w` (and bias `b`), of ``linear(x, w, b)``, plus the Tensor
     `residual` if given.  A recording call keeps only the derivative
     Phi(y) + y * phi(y), made in the forward; the GELU value before the
-    residual is added is never kept.  Rows run in `_split_rows` blocks,
-    each projecting, activating and adding the residual for its own rows."""
+    residual is added is never kept.  The output and the derivative are
+    allocated before the projection, and the CDF is made in the output."""
     x = as_tensor(x)
     if w is None:
         shape, dtype = x.data.shape, x.data.dtype
@@ -1076,31 +945,24 @@ def gelu(x, w=None, b=None, residual=None) -> Tensor:
     record = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = np.empty(shape, dtype if residual is None else np.result_type(dtype, residual.data))
     d = np.empty(shape, dtype) if record else None
-    # Rows, or the matrices of a batched projection, to cut into blocks.
-    keep = 1 if w is None or w.data.size >= _FLAT_GEMM_MIN_WEIGHT else 2
-
-    def kernel(o, xp, dp, rp):
-        y = xp if w is None else _project(xp, w, b)
-        # 0.5 * (1 + erf(y / sqrt(2))), the same float operations in one buffer.
-        cdf = np.divide(y, _SQRT2, out=o if o.dtype == dtype else None)
-        _erf_np(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        if dp is not None:
-            # cdf + y * exp(-0.5 * y^2) / sqrt(2 pi), in one buffer.
-            np.multiply(y, y, out=dp)
-            dp *= -0.5
-            np.exp(dp, out=dp)
-            dp *= _INV_SQRT_2PI
-            dp *= y
-            dp += cdf
-        cdf *= y
-        if rp is not None:
-            # Addition commutes exactly: this is ``gelu(x) + residual``.
-            np.add(cdf, rp, out=o)
-
-    _split_rows(kernel, out.size, (out, keep), (x.data, keep), (d, keep),
-                (None if residual is None else residual.data, keep))
+    y = x.data if w is None else _project(x.data, w, b)
+    # 0.5 * (1 + erf(y / sqrt(2))), the same float operations in one buffer.
+    cdf = np.divide(y, _SQRT2, out=out if out.dtype == dtype else None)
+    _erf_np(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if record:
+        # cdf + y * exp(-0.5 * y^2) / sqrt(2 pi), in one buffer.
+        np.multiply(y, y, out=d)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= y
+        d += cdf
+    cdf *= y
+    if residual is not None:
+        # Addition commutes exactly: this is ``gelu(x) + residual``.
+        np.add(cdf, residual.data, out=out)
 
     def bw(g):
         if residual is not None and residual.requires_grad:

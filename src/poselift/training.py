@@ -54,8 +54,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
+        # Written as `not 0 < x < inf` so that NaN and Infinity are refused too.
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr decay must lie in (0,1], got {self.lr_decay}")
         if self.epochs < 1:
@@ -68,12 +69,11 @@ class TrainConfig:
             raise ConfigError(f"stage must be 'preliminary' or 'main', got {self.stage!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val fraction must lie in [0,1), got {self.val_fraction}")
-        # Written as `not x >= 0` so that NaN is refused too.
         for name in ("seed", "weight_decay", "jitter_2d_std"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError(f"grad_clip must be > 0 or null, got {self.grad_clip}")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
+            raise ConfigError(f"grad_clip must be finite and > 0 or null, got {self.grad_clip}")
         if self.stage == "preliminary" and self.model.channels_in != 2:
             raise ConfigError("preliminary stage requires a channels_in=2 model")
         if self.stage == "main":

@@ -339,6 +339,21 @@ MALFORMED_INPUTS = {
     "negative weight_decay": (lambda p: ["train", "--config", _config_doc(p, weight_decay=-0.01)],
                               2, "weight_decay"),
     "negative seed": (lambda p: ["train", "--config", _config_doc(p), "--seed", -1], 2, "seed"),
+    # Python's json reads and writes NaN and Infinity.
+    "learning_rate NaN": (lambda p: ["train", "--config", _config_doc(
+        p, learning_rate=float("nan"))], 2, "learning rate"),
+    "learning_rate Infinity": (lambda p: ["train", "--config", _config_doc(
+        p, learning_rate=float("inf"))], 2, "learning rate"),
+    "weight_decay Infinity": (lambda p: ["train", "--config", _config_doc(
+        p, weight_decay=float("inf"))], 2, "weight_decay"),
+    "jitter Infinity": (lambda p: ["train", "--config", _config_doc(
+        p, jitter_2d_std=float("inf"))], 2, "jitter_2d_std"),
+    "grad_clip Infinity": (lambda p: ["train", "--config", _config_doc(
+        p, grad_clip=float("inf"))], 2, "grad_clip"),
+    "noise std NaN": (lambda p: ["train", "--config", _config_doc(
+        p, noise={"groups": [[0], [1]], "stds": [0.1, float("nan")]})], 2, "noise std"),
+    "noise std Infinity": (lambda p: ["train", "--config", _config_doc(
+        p, noise={"groups": [[0], [1]], "stds": [float("inf"), 0.1]})], 2, "noise std"),
     "negative embed_dim": (lambda p: ["train", "--config", _config_doc(
         p, model={"channels_in": 2, "embed_dim": -8})], 2, "embed_dim"),
     "ff_expansion 0": (lambda p: ["train", "--config", _config_doc(

@@ -1,7 +1,8 @@
 """Seeded corpus of damaged input files: ``.pseq`` pose sequences and
 ``HGFW1`` checkpoints, each truncated, with a byte flipped, or extended;
 and train-config and skeleton JSON, each with one value swapped for
-another type, nested, or dropped, or one number moved out of range.
+another type, nested, or dropped, or one number moved out of range (or,
+in a train config, made NaN or infinite).
 
 Reading a mutant (for a checkpoint: loading it into its model) either
 succeeds or raises a PoseLiftError subclass, and the command that reads
@@ -198,6 +199,21 @@ def range_mutants(doc, seed: int) -> list:
     return out
 
 
+def non_finite_mutants(doc, seed: int) -> list:
+    """(kind, copy) of `doc` with one float anywhere in it replaced by NaN,
+    Infinity or -Infinity, which Python's json reads."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(MUTANTS):
+        mutant = copy.deepcopy(doc)
+        spots = [(node, key) for node, key in json_locations(mutant)
+                 if type(node[key]) is float]
+        node, key = spots[int(rng.integers(len(spots)))]
+        node[key] = (np.nan, np.inf, -np.inf)[i % 3]
+        out.append(("non-finite", json.loads(json.dumps(mutant))))
+    return out
+
+
 def check_json_mutants(doc, seed, read, make=json_mutants) -> int:
     """`read` of each of `doc`'s mutants (by `make`) returns or raises a
     PoseLiftError; returns how many raised."""
@@ -247,6 +263,13 @@ def test_train_config_range_mutants():
     """The same contract for numbers of the right type out of range."""
     rejected = check_json_mutants(train_config_doc(), 4, build_and_lift, make=range_mutants)
     assert rejected >= MUTANTS // 4
+
+
+def test_train_config_non_finite_mutants():
+    """No float in a train config may be NaN or infinite: each such mutant
+    is refused when the config is read."""
+    assert check_json_mutants(train_config_doc(), 5, TrainConfig.from_dict,
+                              make=non_finite_mutants) == MUTANTS
 
 
 def check_skeleton_mutants(tmp_path, make) -> int:

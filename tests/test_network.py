@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poselift import numerics
+from poselift import network, numerics
 from poselift.errors import ConfigError, ShapeError
 from poselift.losses import total_loss
 from poselift.network import (EncoderParams, ModelConfig, PoseLifter, embed_input,
@@ -417,3 +417,88 @@ class TestTwoStage:
                                         ste_heads=2, tte_heads=2, hga_heads=2), chain_skeleton())
         with pytest.raises(ConfigError, match="disagree"):
             two_stage_forward(np.zeros((3, 3, 2)), pre, longer)
+
+
+class TestBlockDeal:
+    """A no-grad, eval-mode forward deals a spatial block's frames and a
+    temporal block's joints to the worker pool in chunks, and gives the
+    serial result bit for bit; every other forward stays serial."""
+
+    @staticmethod
+    def pipeline(dtype, embed_dim):
+        # embed_dim 256 takes `linear`'s flat GEMM for the square weights.
+        with precision(dtype):
+            skeleton = human36m_skeleton()
+            configs = [ModelConfig(frames=6, channels_in=c, embed_dim=embed_dim, depth=depth,
+                                   dropout=0.25) for c, depth in ((2, 2), (5, 1))]
+            pre, main = (PoseLifter(cfg, skeleton, seed=90 + i) for i, cfg in enumerate(configs))
+        x2d = np.random.default_rng(91).normal(size=(2, 6, 17, 2)).astype(dtype)
+        return pre, main, x2d
+
+    @staticmethod
+    def lifted(dtype, pre, main, x2d):
+        with precision(dtype), no_grad():
+            return [pre.forward(x2d).data, two_stage_forward(x2d, pre, main).data]
+
+    @staticmethod
+    def counting_deals(monkeypatch):
+        """Record the chunk count of every deal `PoseLifter.forward` makes."""
+        counts, deal = [], network._deal
+
+        def counted(run, count):
+            counts.append(count)
+            deal(run, count)
+
+        monkeypatch.setattr(network, "_deal", counted)
+        return counts
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("embed_dim", [16, 256])
+    @pytest.mark.parametrize("chunks", ["ragged", "one index each"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_grad_forward_equals_serial(self, monkeypatch, dtype, embed_dim, chunks, workers):
+        pre, main, x2d = self.pipeline(dtype, embed_dim)
+        serial = self.lifted(dtype, pre, main, x2d)
+        counts = self.counting_deals(monkeypatch)
+        assert not counts
+        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        if chunks == "ragged":
+            # Five chunks a block: frames 0, 1, 2, 3 and 4-5, or joints
+            # 0-2, 3-5, 6-9, 10-12 and 13-16.
+            monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 2 * 6 * 17 * embed_dim // 5)
+            expected = {5}
+        else:
+            monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
+            expected = {6, 17}
+        for got, want in zip(self.lifted(dtype, pre, main, x2d), serial):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+        assert set(counts) == expected
+
+    @pytest.mark.parametrize("call", ["training", "recording", "attn_sink",
+                                      "float32 activations in a float64 context"])
+    def test_other_forwards_stay_serial(self, monkeypatch, call):
+        pre, _, x2d = self.pipeline(np.float32, 16)
+        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        counts = self.counting_deals(monkeypatch)
+        with precision(np.float32):
+            if call == "recording":
+                assert pre.forward(x2d).requires_grad
+            with no_grad():
+                if call == "training":
+                    pre.forward(x2d, training=True, rng=np.random.default_rng(92))
+                elif call == "attn_sink":
+                    pre.forward(x2d, attn_sink=[])
+            x = Tensor(x2d)
+        if call.startswith("float32"):
+            # The skeletal adjacency takes the context's dtype, so a chunk's
+            # output would be float64.
+            with no_grad():
+                pre.forward(x)
+        assert not counts
+        with precision(np.float32), no_grad():
+            pre.forward(x2d)
+        assert counts

@@ -691,204 +691,75 @@ class TestFusedNodes:
             gelu(Tensor(np.zeros((2, 3, 4))), residual=Tensor(np.zeros((3, 4))))
 
 
-class TestWorkerSplit:
-    """Every kernel that `_split` cuts gives the output and gradients of
-    the uncut call, bit for bit, on 1, 2 and 3 workers, with the cut-off at
-    0 and blocks of a few output elements, so that every call splits."""
+class TestDeal:
+    """`_deal` runs every part in a copy of the caller's context, so under
+    its numpy error state, covers each index exactly once and re-raises a
+    part's exception only once every part has finished."""
 
     @staticmethod
-    def across_workers(monkeypatch, run, block=1):
-        """run() -> list of arrays, once uncut and once per worker count, in
-        blocks of `block` output elements; all must agree, and some call must
-        have had at least three blocks."""
-        blocks = []
-        split = numerics._split
+    def overflow_on_pool_threads(monkeypatch, workers):
+        """Deal one part per worker, of which only the pool threads' parts
+        overflow; returns their results."""
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        threads, values = set(), []
 
-        def counted(fn, n, size):
-            blocks.append(min(n, numerics._blocks(size)))
-            split(fn, n, size)
+        def run(first, last):
+            if first > 0:
+                threads.add(threading.current_thread().name)
+                values.append(np.array([1e300]) * 1e300)
 
-        uncut = run()
-        monkeypatch.setattr(numerics, "_split", counted)
-        monkeypatch.setattr(numerics, "_SPLIT_MIN_ELEMENTS", 0)
-        monkeypatch.setattr(numerics, "_SPLIT_BLOCK_ELEMENTS", block)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(numerics, "_WORKERS", workers)
-            results = run()
-            assert len(results) == len(uncut)
-            for a, b in zip(uncut, results):
-                assert_bitwise_equal(a, b)
-        assert max(blocks) >= 3
+        numerics._deal(run, workers)
+        assert len(values) == workers - 1
+        assert threading.current_thread().name not in threads
+        return values
 
-    @staticmethod
-    def recorded(rng, out, leaves):
-        """The output and every leaf gradient after a seeded backward."""
-        out.backward(rng.normal(size=out.data.shape).astype(out.data.dtype))
-        return [out.data] + [t.grad for t in leaves]
-
-    @staticmethod
-    def leaves(rng, dtype, *shapes):
-        with precision(dtype):
-            return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("widths, out", [((5,), 6), ((2, 4, 6), 8), ((256,), 256),
-                                             ((100, 100, 56), 256)])  # batched and flat
-    @pytest.mark.parametrize("layout", ["plain", "heads", "merge_heads"])
-    def test_linear(self, monkeypatch, dtype, widths, out, layout):
-        lead = (2, 3, 2, 5) if layout == "merge_heads" else (4, 3, 5)
-
-        def run():
-            rng = np.random.default_rng(80)
-            *xs, w, b = self.leaves(rng, dtype, *[lead + (n,) for n in widths],
-                                    (sum(widths), out), (out,))
-            x = tuple(xs) if len(xs) > 1 else xs[0]
-            kwargs = {"heads": 2} if layout == "heads" else {"merge_heads": layout == "merge_heads"}
-            return self.recorded(rng, linear(x, w, b, **kwargs), xs + [w, b])
-
-        # Blocks of at least two rows: numpy computes a one-row product as a
-        # matrix-vector one, which need not round as the GEMM does.
-        self.across_workers(monkeypatch, run, block=2 * out)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("project", [False, True])
-    @pytest.mark.parametrize("recording", [False, True])
-    def test_gelu(self, monkeypatch, dtype, project, recording):
-        def run():
-            rng = np.random.default_rng(81)
-            x, w, b, residual = self.leaves(rng, dtype, (4, 3, 5, 6), (6, 8), (8,),
-                                            (4, 3, 5, 8 if project else 6))
-            kwargs = {"w": w, "b": b} if project else {}
-            if not recording:
-                with no_grad():
-                    return [gelu(x, residual=residual, **kwargs).data]
-            used = [x, residual] + ([w, b] if project else [])
-            return self.recorded(rng, gelu(x, residual=residual, **kwargs), used)
-
-        self.across_workers(monkeypatch, run)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_attention_with_broadcast_keys_and_ragged_slices(self, monkeypatch, dtype):
-        # (3, 4) leading axes in slices of 3 matrices: two runs on axis 1,
-        # the second ragged, per outer index, so six slices to cut.  Four
-        # blocks of output (a quarter of its 360 elements each) leave the
-        # slices at 3 matrices.
-        matrix = 5 * 7 * np.dtype(dtype).itemsize
-        monkeypatch.setattr(numerics, "_ATTENTION_SLICE_BYTES", 3 * matrix)
-
-        def run():
-            rng = np.random.default_rng(82)
-            q, k, v = self.leaves(rng, dtype, (3, 4, 5, 8), (4, 7, 8), (1, 4, 7, 6))
-            sink = []
-            out = scaled_dot_attention(q, k, v, attn_sink=sink)
-            return self.recorded(rng, out, [q, k, v]) + sink
-
-        self.across_workers(monkeypatch, run, block=90)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("norm", ["layer", "batch_eval"])
-    def test_norms(self, monkeypatch, dtype, norm):
-        def run():
-            rng = np.random.default_rng(83)
-            x, gamma, beta = self.leaves(rng, dtype, (4, 3, 5, 6), (6,), (6,))
-            if norm == "layer":
-                out = layer_norm(x, gamma, beta)
-            else:
-                mean, var = rng.normal(size=6), rng.uniform(0.5, 2.0, size=6)
-                out = batch_norm(x, gamma, beta, mean, var, training=False)
-            return self.recorded(rng, out, [x, gamma, beta])
-
-        self.across_workers(monkeypatch, run)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_pose_lifter(self, monkeypatch, dtype):
-        # A training-mode forward and backward (batch statistics and dropout
-        # stay serial) and a no-grad forward of the same model.
-        def run():
-            with precision(dtype):
-                cfg = ModelConfig(frames=4, channels_in=5, embed_dim=16, depth=1, dropout=0.25)
-                model = PoseLifter(cfg, human36m_skeleton(), seed=84)
-                x = np.random.default_rng(85).normal(size=(2, 4, 17, 5)).astype(dtype)
-                out = model.forward(x, training=True, rng=np.random.default_rng(86))
-                result = self.recorded(np.random.default_rng(87), out, model.parameters())
-                with no_grad():
-                    result.append(model.forward(x).data)
-            return result + [model.state_dict()[name] for name in sorted(model.state_dict())]
-
-        self.across_workers(monkeypatch, run)
-
-
-    def test_more_workers_than_cpus_cover_every_index_once(self, monkeypatch):
-        # Eight workers on any machine, with the interpreter switching
-        # threads as often as it can: every index is filled by exactly one
-        # part, and a kernel still gives the serial result bit for bit.
-        monkeypatch.setattr(numerics, "_WORKERS", 8)
-        monkeypatch.setattr(numerics, "_SPLIT_MIN_ELEMENTS", 0)
-        monkeypatch.setattr(numerics, "_SPLIT_BLOCK_ELEMENTS", 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for n in (1, 7, 8, 9, 100):
-                counts = np.zeros(n, int)
-
-                def part(start, stop):
-                    counts[start:stop] += 1
-
-                numerics._split(part, n, n)
-                assert counts.tolist() == [1] * n
-            x = np.random.default_rng(88).normal(size=(40, 3, 6))
-            split = gelu(Tensor(x), residual=Tensor(x)).data
-        finally:
-            sys.setswitchinterval(interval)
-        monkeypatch.setattr(numerics, "_WORKERS", 1)
-        assert_bitwise_equal(split, gelu(Tensor(x), residual=Tensor(x)).data)
-
-
-class TestSplitErrors:
-    """A split runs its parts under the caller's numpy error state and
-    re-raises a part's exception only once every part has finished."""
-
-    @pytest.fixture
-    def two_parts(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_SPLIT_MIN_ELEMENTS", 0)
-        monkeypatch.setattr(numerics, "_SPLIT_BLOCK_ELEMENTS", 1)
-        monkeypatch.setattr(numerics, "_WORKERS", 2)
-
-    @staticmethod
-    def gelu_overflowing_in_second_part():
-        # y * y in the recording GELU's derivative overflows only in x[2:],
-        # the second half of its rows, which the pool thread's part runs.
-        x = np.zeros((4, 3, 2))
-        x[2:] = 1e200
-        return gelu(Tensor(x, requires_grad=True))
-
-    def test_worker_raises_under_callers_errstate(self, two_parts):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_parts_raise_under_callers_errstate(self, monkeypatch, workers):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            self.gelu_overflowing_in_second_part()
+            self.overflow_on_pool_threads(monkeypatch, workers)
 
-    def test_worker_is_silent_under_callers_errstate(self, two_parts):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_parts_are_silent_under_callers_errstate(self, monkeypatch, workers):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with np.errstate(over="ignore"):
-                out = self.gelu_overflowing_in_second_part()
+                values = self.overflow_on_pool_threads(monkeypatch, workers)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert np.array_equal(out.data[2:], np.full((2, 3, 2), 1e200))
+        assert [v.tolist() for v in values] == [[np.inf]] * (workers - 1)
 
     @pytest.mark.parametrize("failing", [0, 1, 2])  # the caller's part, then pool parts
     def test_failing_part_reraises_after_every_part_finished(self, monkeypatch, failing):
         monkeypatch.setattr(numerics, "_WORKERS", 3)
-        monkeypatch.setattr(numerics, "_SPLIT_BLOCK_ELEMENTS", 1)
         finished = []
 
-        def part(start, stop):
-            if start == failing:
-                raise ValueError(f"part {start} failed")
+        def run(first, last):
+            if first == failing:
+                raise ValueError(f"part {first} failed")
             time.sleep(0.05)
-            finished.append(start)
+            finished.append(first)
 
         with pytest.raises(ValueError, match=f"part {failing} failed"):
-            numerics._split(part, 3, numerics._SPLIT_MIN_ELEMENTS)
+            numerics._deal(run, 3)
         assert sorted(finished) == [i for i in range(3) if i != failing]
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 100])
+    def test_more_workers_than_cpus_cover_every_index_once(self, monkeypatch, count):
+        # Eight workers on any machine, with the interpreter switching
+        # threads as often as it can: every index is run by exactly one part.
+        monkeypatch.setattr(numerics, "_WORKERS", 8)
+        counts = np.zeros(count, int)
+
+        def run(first, last):
+            for i in range(first, last):
+                counts[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            numerics._deal(run, count)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts.tolist() == [1] * count
 
 
 class TestContextState:

@@ -2,7 +2,9 @@
 
 The library, its benchmark or its demos must use each exported name in
 code somewhere other than the line that defines it.  A name that only the
-tests reach is surface to delete, not to export.
+tests reach is surface to delete, not to export.  The same holds for the
+package's private module-level names: a helper that no program code reads
+any more is left over.
 """
 
 import ast
@@ -111,3 +113,49 @@ def test_every_default_of_an_exported_function_is_set_by_the_program():
         unset += [(name, p) for p in sorted(set(params) - set_parameters(params, calls.get(name, [])))
                   if (name, p) not in UNSET_DEFAULTS_KEPT]
     assert not unset, f"defaulted parameters that no program call sets: {unset}"
+
+
+def module_private_names() -> dict:
+    """{name: module file name} for every private (``_x``, not dunder)
+    function, class or assigned constant at the top level of src/poselift."""
+    names = {}
+    for path in INIT.parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            names.update({n: path.name for n in defined
+                          if n.startswith("_") and not n.startswith("__")})
+    return names
+
+
+def referenced_names() -> set:
+    """Names read in the code of src/, perfbench/ and demos/, bare or as an
+    attribute, leaving out each top-level function's or class's reads of
+    its own name (a recursive call is no reference)."""
+    names = set()
+    for directory in ("src", "perfbench", "demos"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                own = getattr(top, "name", None)
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    if name != own:
+                        names.add(name)
+    return names
+
+
+def test_every_private_module_name_is_referenced():
+    referenced = referenced_names()
+    unreferenced = sorted(f"{module}:{name}" for name, module in module_private_names().items()
+                          if name not in referenced)
+    assert not unreferenced, f"private names that no program code reads: {unreferenced}"

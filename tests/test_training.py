@@ -384,9 +384,9 @@ class TestParallelScoring:
                 training._scored_pairs(model, preliminary, x2d, y, range(len(x2d)), cfg,
                                        skeleton.root_index)
 
-    def test_nested_split_runs_inline_without_a_hang(self, stages, monkeypatch, tmp_path):
-        # Every kernel splits into blocks: a sequence part on the pool thread
-        # that dealt its blocks to its own one-thread pool would wait forever.
+    def test_nested_deal_runs_inline_without_a_hang(self, stages, monkeypatch, tmp_path):
+        # Every forward deals its blocks' chunks: a sequence part on the pool
+        # thread that dealt them to its own one-thread pool would wait forever.
         # A thread joined with a timeout would fail such a test but leave the
         # stuck pool thread, which interpreter exit joins forever, so the
         # evaluation runs in a child process that is killed on time-out.
@@ -405,19 +405,20 @@ class TestParallelScoring:
         assert result["report"] == json.loads(json.dumps(serial))
 
 
-# `evaluate` on two workers with every kernel cut into blocks of 64 output
-# elements; prints the report and how many deals ran inside a part.
+# `evaluate` on two workers with every forward's blocks cut into chunks of
+# 64 activation elements; prints the report and how many deals ran inside
+# a part.
 NESTED_EVALUATE = """
 import json, sys
-from poselift import numerics, training
-numerics._SPLIT_MIN_ELEMENTS = 0
-numerics._SPLIT_BLOCK_ELEMENTS = 64
+from poselift import network, numerics, training
+network._SPLIT_MIN_ELEMENTS = 0
+network._SPLIT_BLOCK_ELEMENTS = 64
 numerics._WORKERS = 2
 deal, nested = numerics._deal, []
 def counted(run, count):
     nested.append(numerics._in_part.get() and count > 1)
     deal(run, count)
-numerics._deal = training._deal = counted
+network._deal = training._deal = counted
 report = training.evaluate(training.TrainConfig.from_json_file(sys.argv[1])).to_dict()
 print(json.dumps({"report": report, "nested_deals": sum(nested)}))
 """
