@@ -18,8 +18,8 @@ from .errors import ConfigError, ShapeError
 # softmax_rows is no longer called here; the name stays bound because the
 # per-layer tracer (perfbench/layers.py) wraps hga.softmax_rows.
 from .numerics import (Module, Parameter, Tensor, as_tensor, batch_norm, gelu,  # noqa: F401
-                       layer_norm, linear, scaled_dot_attention, softmax_rows,
-                       uniform_init)
+                       layer_norm, linear, precision, scaled_dot_attention,
+                       softmax_rows, uniform_init)
 
 
 def default_head_count(channels: int) -> int:
@@ -118,7 +118,9 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
                          f"{params.channels} channels)")
     x_in = layer_norm(x, params.ln_gamma, params.ln_beta)
     a, b = project_ab(x_in, params)
-    adj_total = params.learnable_adj + Tensor(skeletal_adj)
+    # The skeletal prior takes the module's dtype, not the context's.
+    with precision(params.learnable_adj.data.dtype):
+        adj_total = params.learnable_adj + Tensor(skeletal_adj)
     hyb_att = hybrid_cross_attention(a, aggregate_hybrid(b, adj_total), params,
                                      attn_sink=attn_sink)
     del adj_total

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward
 from .losses import LossWeights
-from .numerics import (Module, Parameter, Tensor, _deal, _default_dtype, _grad_enabled,
-                       as_tensor, dropout, gelu, layer_norm, linear, no_grad,
+from .numerics import (Module, Parameter, Tensor, _deal, _grad_enabled,
+                       as_tensor, dropout, gelu, layer_norm, linear, no_grad, precision,
                        scaled_dot_attention, uniform_init)
 from .skeleton import SkeletonGraph, _hybrid_weights, build_hybrid_adjacency
 
@@ -195,8 +195,10 @@ def _in_parts(block, x: Tensor, axis: int, deal: bool) -> Tensor:
     percent at most, and the small-array workloads stay serial: a T=27
     training step (C=64, B=8) has 235k activation elements and records
     anyway, a T=27 evaluation 29k, while a T=243 C=384 lift has 1.59M.
-    An evaluation of many small sequences uses every CPU by lifting whole
-    sequences in parallel instead (``training._scored_pairs``).
+    An evaluation of many small sequences uses every CPU instead by lifting
+    groups of whole sequences in parallel, each group of about 2^16
+    elements in one batched forward, so that no group reaches the cut-off
+    (``training._scored_pairs``); a T=243 C=384 sequence is a group of one.
 
     Chunks bound what a part allocates at once.  Each thread allocates
     from its own malloc arena, which keeps much of what it frees.  On the
@@ -219,8 +221,9 @@ def _in_parts(block, x: Tensor, axis: int, deal: bool) -> Tensor:
             rows = lead + (slice(cuts[i], cuts[i + 1]),)
             out[rows] = block(Tensor(x.data[rows])).data
 
-    _deal(run, count)
-    return Tensor(out)
+    with precision(x.data.dtype):  # chunk views and the output keep x's dtype
+        _deal(run, count)
+        return Tensor(out)
 
 
 def regression_head(x, w_head, b_head=None) -> Tensor:
@@ -272,9 +275,9 @@ class PoseLifter(Module):
         # A spatial block acts on each frame alone and a temporal block on
         # each joint alone, unless a tape, batch statistics, dropout draws
         # or a sink span them.  A chunk's output has e's dtype only if every
-        # parameter and the default dtype (the skeletal adjacency's) have it.
+        # parameter has it.
         deal = (e.data.size >= _SPLIT_MIN_ELEMENTS and not training and attn_sink is None
-                 and not _grad_enabled.get() and e.data.dtype == _default_dtype.get()
+                 and not _grad_enabled.get()
                  and all(p.data.dtype == e.data.dtype for p in self.parameters()))
         adj = self.hybrid.skeletal
         for l, (sb, tb) in enumerate(self.blocks):

@@ -9,9 +9,10 @@ are context variables, so each thread keeps its own setting.
 Computation is numpy, and each kernel runs once on its whole arrays.
 One pool of threads, one per CPU, takes parts of two kinds of
 independent work (`_deal`): the frame or joint chunks of a block in a
-large no-grad forward (``network.PoseLifter.forward``) and the sequences
-of an evaluation (``training._scored_pairs``).  A part that reaches a
-large forward runs its chunks itself, one after another.  None of this
+large no-grad forward (``network.PoseLifter.forward``) and the groups of
+consecutive sequences of an evaluation, each lifted in one batched
+forward (``training._scored_pairs``).  A part that reaches a large
+forward runs its chunks itself, one after another.  None of this
 changes the arithmetic, so identical inputs reproduce bit-identical
 results whatever the number of CPUs.
 
@@ -422,9 +423,9 @@ def _deal(run, count: int) -> None:
     raises the first part's exception, only once every part has finished.
     Two callers deal work to the one pool: ``network.PoseLifter.forward``,
     the frame or joint chunks of one block of a large no-grad forward, and
-    ``training._scored_pairs``, the sequences of an evaluation.
+    ``training._scored_pairs``, the groups of sequences of an evaluation.
 
-    A part that deals again (a sequence part reaching a large forward)
+    A part that deals again (a group part reaching a large forward)
     runs the whole range itself, in order: its siblings hold every other
     worker, and a pool thread that waited on its own pool would wait
     forever.  Both callers cut their ranges independently of the number of

@@ -476,8 +476,7 @@ class TestBlockDeal:
             assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
         assert set(counts) == expected
 
-    @pytest.mark.parametrize("call", ["training", "recording", "attn_sink",
-                                      "float32 activations in a float64 context"])
+    @pytest.mark.parametrize("call", ["training", "recording", "attn_sink"])
     def test_other_forwards_stay_serial(self, monkeypatch, call):
         pre, _, x2d = self.pipeline(np.float32, 16)
         monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
@@ -492,13 +491,27 @@ class TestBlockDeal:
                     pre.forward(x2d, training=True, rng=np.random.default_rng(92))
                 elif call == "attn_sink":
                     pre.forward(x2d, attn_sink=[])
-            x = Tensor(x2d)
-        if call.startswith("float32"):
-            # The skeletal adjacency takes the context's dtype, so a chunk's
-            # output would be float64.
-            with no_grad():
-                pre.forward(x)
         assert not counts
         with precision(np.float32), no_grad():
             pre.forward(x2d)
         assert counts
+
+    def test_float32_model_deals_in_a_float64_context(self, monkeypatch):
+        # Each HGA wraps the skeletal adjacency in its own dtype, so a float32
+        # model lifts float32 activations in float32 whatever the context.
+        pre, _, x2d = self.pipeline(np.float32, 16)
+        with precision(np.float32), no_grad():
+            x = Tensor(x2d)
+            serial = pre.forward(x).data
+        with no_grad():
+            unsplit = pre.forward(x).data
+        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        counts = self.counting_deals(monkeypatch)
+        with no_grad():
+            dealt = pre.forward(x).data
+        assert set(counts) == {6, 17}
+        for got in (unsplit, dealt):
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), serial.view(np.uint32))

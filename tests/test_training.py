@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import poselift as pl
-from poselift import numerics, training
+from poselift import network, numerics, training
 from poselift.errors import ConfigError, DataError, DivergenceError
-from poselift.network import ModelConfig
+from poselift.metrics import root_relative
+from poselift.network import ModelConfig, PoseLifter, two_stage_forward
 from poselift.training import (AdamW, TrainConfig, adamw_step, clip_gradients, evaluate,
                                load_dataset, lr_schedule, prepare_pairs, train)
 
@@ -282,8 +284,7 @@ class TestEvaluate:
         result = train(cfg)
         report = evaluate(cfg, checkpoint=result.best_checkpoint)
 
-        from poselift.metrics import mpjpe, root_relative
-        from poselift.network import PoseLifter
+        from poselift.metrics import mpjpe
         from poselift.numerics import load_checkpoint, no_grad, precision
 
         sequences, names, skeleton = load_dataset(data_dir)
@@ -368,10 +369,72 @@ class TestParallelScoring:
         assert len(runs[0][0]) == 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
+    @staticmethod
+    def group_of(monkeypatch, count, *models):
+        """Set `_scored_pairs`' group size to `count` sequences of `models`."""
+        cfg = models[0].config
+        width = max(m.config.embed_dim for m in models)
+        monkeypatch.setattr(training, "_GROUP_ELEMENTS", count * cfg.frames * cfg.joints * width)
+
+    @pytest.mark.parametrize("stage", ["preliminary", "main", "main, wider preliminary"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("bad", [(1, 3), (3, 4), (0, 4)])
+    def test_groups_equal_a_per_sequence_loop(self, stages, monkeypatch, stage, precision,
+                                              workers):
+        cfg = stages[stage.split(",")[0]]
+        sequences, _, skeleton = load_dataset(cfg.data_dir)
+        x2d, y = prepare_pairs(sequences, skeleton)
+        root = skeleton.root_index
+        with pl.precision(precision):
+            model, preliminary = training._stage_models(
+                cfg, skeleton, str(Path(cfg.out_dir) / "best.ckpt"))
+            if stage.endswith("wider preliminary"):
+                preliminary = PoseLifter(replace(cfg.preliminary_model, embed_dim=16),
+                                         skeleton, seed=93)
+            looped = []
+            with pl.no_grad():
+                for x in x2d:
+                    out = (model.forward(x) if preliminary is None
+                           else two_stage_forward(x, preliminary, model))
+                    looped.append(root_relative(out.data.astype(np.float64), root))
+        # The batch size of every forward of the scored model.
+        sizes, forward = [], PoseLifter.forward
+
+        def counted(self, x, *args, **kwargs):
+            if self is model:
+                sizes.append(len(x))
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(PoseLifter, "forward", counted)
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        models = [m for m in (model, preliminary) if m is not None]
+        for per_group in (1, 2, 3, len(x2d)):
+            self.group_of(monkeypatch, per_group, *models)
+            for indices in ([0, 1, 2, 3, 4], [4, 0, 2, 3], []):
+                sizes.clear()
+                with pl.precision(precision):
+                    pairs = training._scored_pairs(model, preliminary, x2d, y, indices, cfg, root)
+                assert len(pairs) == len(indices)
+                for i, (pred, ref) in zip(indices, pairs):
+                    assert pred.dtype == np.float64
+                    assert np.array_equal(pred.view(np.uint64), looped[i].view(np.uint64))
+                    assert np.array_equal(ref, root_relative(y[i], root))
+                # The fewest groups of at most per_group sequences, and at
+                # least one per worker while sequences last.
+                count = len(indices)
+                assert sum(sizes) == count and max(sizes, default=0) <= per_group
+                assert len(sizes) == max(-(-count // per_group), min(count, workers))
+
+    def test_groups_stay_below_the_block_deal(self):
+        # A group never reaches `PoseLifter.forward`'s own deal; only a
+        # single large sequence does.
+        assert training._GROUP_ELEMENTS < network._SPLIT_MIN_ELEMENTS
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("per_group", [1, 3, 5])
+    @pytest.mark.parametrize("bad", [(1, 3), (3, 4), (0, 4), (2,)])
     def test_non_finite_prediction_names_the_first_sequence(self, stages, monkeypatch,
-                                                            workers, bad):
+                                                            workers, per_group, bad):
         monkeypatch.setattr(numerics, "_WORKERS", workers)
         cfg = stages["preliminary"]
         sequences, _, skeleton = load_dataset(cfg.data_dir)
@@ -380,6 +443,7 @@ class TestParallelScoring:
         with pl.precision(cfg.precision):
             model, preliminary = training._stage_models(
                 cfg, skeleton, str(Path(cfg.out_dir) / "best.ckpt"))
+            self.group_of(monkeypatch, per_group, model)
             with pytest.raises(DivergenceError, match=rf"sequence {bad[0]}$"):
                 training._scored_pairs(model, preliminary, x2d, y, range(len(x2d)), cfg,
                                        skeleton.root_index)
@@ -405,12 +469,13 @@ class TestParallelScoring:
         assert result["report"] == json.loads(json.dumps(serial))
 
 
-# `evaluate` on two workers with every forward's blocks cut into chunks of
-# 64 activation elements; prints the report and how many deals ran inside
-# a part.
+# `evaluate` on two workers, one sequence a group, with every forward's
+# blocks cut into chunks of 64 activation elements; prints the report and
+# how many deals ran inside a part.
 NESTED_EVALUATE = """
 import json, sys
 from poselift import network, numerics, training
+training._GROUP_ELEMENTS = 1
 network._SPLIT_MIN_ELEMENTS = 0
 network._SPLIT_BLOCK_ELEMENTS = 64
 numerics._WORKERS = 2
