@@ -151,7 +151,7 @@ def _write_trajectories(header, values: np.ndarray, out_path) -> None:
 
 def cmd_dct(args) -> int:
     header, values = _read_trajectories(args.infile)
-    frames = args.frames or values.shape[0]
+    frames = values.shape[0] if args.frames is None else args.frames
     if frames < 1:
         raise ConfigError(f"--T must be >= 1, got {frames}")
     if values.shape[0] < frames:
@@ -174,13 +174,13 @@ def cmd_smooth(args) -> int:
 
 def cmd_inspect_adjacency(args) -> int:
     skeleton = _load_skeleton_arg(args.skeleton)
+    hybrid = build_hybrid_adjacency(skeleton, hop_count=args.hops)  # refuses a bad --hops
     hops = shortest_path_hops(skeleton)
     for k in range(1, args.hops + 1):
         print(f"# k-hop adjacency, k={k}")
         print(_matrix_csv(khop_adjacency(hops, k)))
     print("# symmetric pairs")
     print(_matrix_csv(symmetric_matrix(skeleton)))
-    hybrid = build_hybrid_adjacency(skeleton, hop_count=args.hops)
     print(f"# hybrid matrix (hop weights {hybrid.hop_weights}, sym weight {hybrid.sym_weight})")
     print(_matrix_csv(hybrid.skeletal))
     return 0

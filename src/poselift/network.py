@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward
 from .losses import LossWeights
@@ -168,51 +169,23 @@ def temporal_block_forward(x, block: TemporalBlock, training: bool = False,
     return x.swapaxes(-3, -2)
 
 
-_SPLIT_MIN_ELEMENTS = 1 << 20    # activation elements from which a forward uses every CPU
+_SPLIT_MIN_ELEMENTS = 1 << 20    # activation elements from which one sequence's blocks are dealt
 _SPLIT_BLOCK_ELEMENTS = 1 << 18  # activation elements per chunk of a block
+_GROUP_ELEMENTS = 1 << 16        # activation elements per group of a batch
 
 
-def _in_parts(block, x: Tensor, axis: int, deal: bool) -> Tensor:
-    """``block(x)``; if `deal`, computed chunk by chunk, for a `block` that
-    maps each index of `x` on `axis` alone to an output of x's shape and
-    dtype.  The chunks, of about _SPLIT_BLOCK_ELEMENTS elements, are views
-    of `x`; `_deal` hands them out in contiguous runs, one part per CPU,
-    and each writes its output into one preallocated array.
-
-    `PoseLifter.forward` deals from _SPLIT_MIN_ELEMENTS activation
-    elements when no tape, batch statistics, dropout draw or attention
-    sink spans the chunks.  The chunks do not depend on the number of
-    CPUs, and every kernel in a block works per leading index, per row or
-    per element, so the result is the serial one bit for bit.
-
-    The cut-off was measured on a 2-vCPU Xeon in float32 with one BLAS
-    thread, when the same sizes split each large forward kernel by rows:
-    two parts beat one from about 26k output elements for GELU and the
-    C=384 flat GEMM, 100k for layer norm and 200k for a (1,17,8,T,48)
-    attention, and at 1.59M (the T=243 lift's activations) took 0.51-0.58
-    of the serial time, but 0.95-1.04 where the pool thread stayed on the
-    caller's CPU.  At 2^20 elements a call that gains nothing loses a few
-    percent at most, and the small-array workloads stay serial: a T=27
-    training step (C=64, B=8) has 235k activation elements and records
-    anyway, a T=27 evaluation 29k, while a T=243 C=384 lift has 1.59M.
-    An evaluation of many small sequences uses every CPU instead by lifting
-    groups of whole sequences in parallel, each group of about 2^16
-    elements in one batched forward, so that no group reaches the cut-off
-    (``training._scored_pairs``); a T=243 C=384 sequence is a group of one.
-
-    Chunks bound what a part allocates at once.  Each thread allocates
-    from its own malloc arena, which keeps much of what it frees.  On the
-    T=243 lift (two 10 s perfbench runs each, corrected op time and peak
-    RSS): one chunk per part 0.97-1.00 s and 203.5 MB, chunks of 2^18
-    elements (1 MiB in float32, inside the 2 MiB L2 per core) 0.91-0.93 s
-    and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16 1.02 s and
-    173 MB.
+def _in_parts(block, x: Tensor, axis: int, count: int, channels: int) -> Tensor:
+    """``block(x)``, computed in `count` chunks of `x` on `axis`, for a
+    `block` that maps each index of `x` on `axis` alone to an output of x's
+    shape, with `channels` on the last axis, and x's dtype.  The chunks are
+    balanced cuts and views of `x`; `_deal` hands them out in contiguous
+    runs, one part per CPU, and each writes its output into one
+    preallocated array.  Chunks of a deal never deal again.
     """
-    n = x.data.shape[axis]
-    count = min(n, x.data.size // _SPLIT_BLOCK_ELEMENTS) if deal else 1
     if count <= 1:
         return block(x)
-    out = np.empty_like(x.data)
+    n = x.data.shape[axis]
+    out = np.empty(x.data.shape[:-1] + (channels,), x.data.dtype)
     cuts = [n * i // count for i in range(count + 1)]
     lead = (slice(None),) * (axis % x.data.ndim)
 
@@ -264,28 +237,101 @@ class PoseLifter(Module):
 
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None,
                 attn_sink: list | None = None) -> Tensor:
+        """Lift (..., T, N, channels_in) to (..., T, N, 3).
+
+        This is the one place that decides how a lift uses the CPUs.  A
+        no-grad, eval-mode forward without an attention sink, whose
+        parameters have the input's dtype, spreads over the worker pool in
+        one of two ways.  A batch with more than one entry on axis 0 is cut
+        into groups of consecutive entries: about _GROUP_ELEMENTS
+        activation elements each (an entry counts frames x joints x
+        embed_dim), at least one entry, and at least one group per CPU
+        while entries last.  `_in_parts` deals the groups, and each runs
+        the stack serially (`_stack` with `deal` off).  A single sequence,
+        or a batch that is one group, of at least _SPLIT_MIN_ELEMENTS
+        elements instead deals each spatial block's frames and each
+        temporal block's joints, in chunks of about _SPLIT_BLOCK_ELEMENTS
+        elements.  No piece deals again.  Without a tape, batch statistics,
+        dropout draws or a sink, batch norm uses its running statistics and
+        norms, products and attention work per row or per leading index, so
+        neither way mixes entries, frames or joints: the result equals a
+        serial per-sequence lift bit for bit, for any number of CPUs, as
+        long as BLAS gives each row of a GEMM as a taller GEMM would; this
+        OpenBLAS does for the pieces these sizes make, but not for GEMMs of
+        a few rows (6 rows at K=512 differ from the same rows among 102).
+
+        Grouping saves per-call overhead: a T=27 sequence is thousands of
+        small numpy calls.  perfbench eval-t27 (32 sequences, C=64,
+        float32, 2-vCPU Xeon, seed 29, alternating 10 s runs, medians):
+
+        ==================  ===================  ====================  ====
+        grouping            seq_per_s            peak_rss_mb           runs
+        ==================  ===================  ====================  ====
+        one sequence        26.2                 127.0                 8
+        2 (2^16 elements)   32.2 (+23%)          128.9 (+1.5%)         5
+        3                   33.9 (+29%)          132.2 (+4.0%)         3
+        4 (2^17 elements)   35.0 (+34%)          131.2 (+3.3%)         8
+        ==================  ===================  ====================  ====
+
+        Memory grows with the group: a no-grad two-stage forward peaks at
+        1.42 MB per sequence (tracemalloc), in the HGA cross-attention.  On
+        one CPU, groups of 2 lift the 32 sequences in 1.31 s against 1.38 s
+        one at a time, but one batch of all 32 takes 1.65 s against 1.49 s.
+        A T=243, C=384 sequence (1.59M elements) is a group of one, two in
+        flight on two CPUs.
+
+        The block cut-off was measured on a 2-vCPU Xeon in float32 with one
+        BLAS thread, when the same sizes split each large forward kernel by
+        rows: two parts beat one from about 26k output elements for GELU
+        and the C=384 flat GEMM, 100k for layer norm and 200k for a
+        (1,17,8,T,48) attention, and at 1.59M (the T=243 lift's
+        activations) took 0.51-0.58 of the serial time, but 0.95-1.04 where
+        the pool thread stayed on the caller's CPU.  At 2^20 elements a call
+        that gains nothing loses a few percent at most; a T=27 training
+        step (C=64, B=8) has 235k activation elements and records anyway.
+        Chunks bound what a part allocates at once.  Each thread allocates
+        from its own malloc arena, which keeps much of what it frees.  On
+        the T=243 lift (two 10 s perfbench runs each, corrected op time and
+        peak RSS): one chunk per part 0.97-1.00 s and 203.5 MB, chunks of
+        2^18 elements (1 MiB in float32, inside the 2 MiB L2 per core)
+        0.91-0.93 s and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16
+        1.02 s and 173 MB.
+        """
         x = as_tensor(x)
         cfg = self.config
         if x.data.ndim < 3 or x.data.shape[-1] != cfg.channels_in:
             raise ShapeError(f"expected (..., T, N, {cfg.channels_in}), got {x.data.shape}")
         if x.data.shape[-2] != cfg.joints or x.data.shape[-3] != cfg.frames:
             raise ShapeError(f"expected {cfg.frames} frames x {cfg.joints} joints, got {x.data.shape}")
-        drop = cfg.dropout
+        # A piece's output has x's dtype only if every parameter has it.
+        parallel = (not training and attn_sink is None and not _grad_enabled.get()
+                    and all(p.data.dtype == x.data.dtype for p in self.parameters()))
+        activations = x.data.size // cfg.channels_in * cfg.embed_dim
+        entries = x.data.shape[0] if x.data.ndim > 3 else 1
+        groups = 1
+        if parallel and entries > 1:
+            per_group = max(1, _GROUP_ELEMENTS // (activations // entries))
+            groups = max(-(-entries // per_group), min(entries, numerics._WORKERS))
+        if groups > 1:
+            return _in_parts(lambda t: self._stack(t, training, rng, attn_sink, deal=False),
+                             x, 0, groups, 3)
+        return self._stack(x, training, rng, attn_sink,
+                           deal=parallel and activations >= _SPLIT_MIN_ELEMENTS)
+
+    def _stack(self, x: Tensor, training: bool, rng, attn_sink, deal: bool) -> Tensor:
+        """Embedding, blocks and head; if `deal`, each block in chunks."""
+        drop = self.config.dropout
         e = embed_input(x, self.w_emb, self.b_emb, self.pe_spatial)
-        # A spatial block acts on each frame alone and a temporal block on
-        # each joint alone, unless a tape, batch statistics, dropout draws
-        # or a sink span them.  A chunk's output has e's dtype only if every
-        # parameter has it.
-        deal = (e.data.size >= _SPLIT_MIN_ELEMENTS and not training and attn_sink is None
-                 and not _grad_enabled.get()
-                 and all(p.data.dtype == e.data.dtype for p in self.parameters()))
+        channels = e.data.shape[-1]
+        chunks = e.data.size // _SPLIT_BLOCK_ELEMENTS if deal else 1
+        frames, joints = min(e.data.shape[-3], chunks), min(e.data.shape[-2], chunks)
         adj = self.hybrid.skeletal
         for l, (sb, tb) in enumerate(self.blocks):
             pe = self.pe_temporal if l == 0 else None
             e = _in_parts(lambda t: spatial_block_forward(t, sb, adj, training, rng, drop,
-                                                          attn_sink), e, -3, deal)
+                                                          attn_sink), e, -3, frames, channels)
             e = _in_parts(lambda t: temporal_block_forward(t, tb, training, rng, drop, pe),
-                          e, -2, deal)
+                          e, -2, joints, channels)
         return regression_head(e, self.w_head, self.b_head)
 
 

@@ -7,14 +7,12 @@ to accumulate gradients.  Tensors hold float64 by default or float32
 inside a ``precision`` context, and ``no_grad`` turns recording off; both
 are context variables, so each thread keeps its own setting.
 Computation is numpy, and each kernel runs once on its whole arrays.
-One pool of threads, one per CPU, takes parts of two kinds of
-independent work (`_deal`): the frame or joint chunks of a block in a
-large no-grad forward (``network.PoseLifter.forward``) and the groups of
-consecutive sequences of an evaluation, each lifted in one batched
-forward (``training._scored_pairs``).  A part that reaches a large
-forward runs its chunks itself, one after another.  None of this
-changes the arithmetic, so identical inputs reproduce bit-identical
-results whatever the number of CPUs.
+One pool of threads, one per CPU, takes the parts of independent work
+that one caller decides on (`_deal`): ``network.PoseLifter.forward``,
+which deals a no-grad batch's groups of sequences, or a single large
+sequence's block chunks.  None of this changes the arithmetic, so
+identical inputs reproduce bit-identical results whatever the number of
+CPUs.
 
 The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
@@ -409,7 +407,6 @@ def _cpu_count() -> int:
 
 _WORKERS = _cpu_count()
 _pool = None  # (ThreadPoolExecutor, its thread count), made by the first deal
-_in_part = contextvars.ContextVar("in_part", default=False)
 
 
 def _deal(run, count: int) -> None:
@@ -421,18 +418,11 @@ def _deal(run, count: int) -> None:
     (``np.errstate``), `no_grad` and `precision` hold in every part and
     what a part sets there stays in that part.  The call returns, or
     raises the first part's exception, only once every part has finished.
-    Two callers deal work to the one pool: ``network.PoseLifter.forward``,
-    the frame or joint chunks of one block of a large no-grad forward, and
-    ``training._scored_pairs``, the groups of sequences of an evaluation.
-
-    A part that deals again (a group part reaching a large forward)
-    runs the whole range itself, in order: its siblings hold every other
-    worker, and a pool thread that waited on its own pool would wait
-    forever.  Both callers cut their ranges independently of the number of
-    parts, so running one inline changes no result.
+    Its one caller is ``network._in_parts``, whose parts never deal again:
+    a pool thread that waited on its own pool would wait forever.
     """
     parts = min(_WORKERS, count)
-    if parts <= 1 or _in_part.get():
+    if parts <= 1:
         run(0, count)
         return
     global _pool
@@ -440,20 +430,14 @@ def _deal(run, count: int) -> None:
         _pool = (ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="poselift-part"),
                  _WORKERS - 1)
     deal = [count * i // parts for i in range(parts + 1)]
-    futures = [_pool[0].submit(contextvars.copy_context().run, _part, run, first, last)
+    futures = [_pool[0].submit(contextvars.copy_context().run, run, first, last)
                for first, last in zip(deal[1:-1], deal[2:])]
     try:
-        contextvars.copy_context().run(_part, run, deal[0], deal[1])
+        contextvars.copy_context().run(run, deal[0], deal[1])
     finally:
         wait(futures)
     for future in futures:
         future.result()
-
-
-def _part(run, first: int, last: int) -> None:
-    # The body of one `_deal` part, in its own copy of the caller's context.
-    _in_part.set(True)
-    run(first, last)
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

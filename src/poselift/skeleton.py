@@ -9,7 +9,7 @@ matrix, and the weighted hybrid matrix that mixes all of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class SkeletonGraph:
 
     The edge set must form a connected tree over ``joint_count`` joints;
     symmetric pairs must reference valid joints and may not duplicate
-    bones.  Construct with ``validate=False`` to defer structural checks
-    (the adjacency operations re-detect disconnection themselves).
+    bones.
     """
 
     joint_count: int
@@ -43,7 +42,6 @@ class SkeletonGraph:
     symmetric_pairs: tuple = ()
     joint_names: tuple | None = None
     root_index: int = 0
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _canonical_pairs(self.edges, "edges"))
@@ -69,11 +67,9 @@ class SkeletonGraph:
             object.__setattr__(self, "joint_names", tuple(self.joint_names))
             if len(self.joint_names) != n:
                 raise ConfigError("joint_names length != joint_count")
-        if self.validate:
-            if len(self.edges) != n - 1:
-                raise GraphStructureError(
-                    f"{len(self.edges)} edges cannot form a tree over {n} joints")
-            shortest_path_hops(self)  # raises on disconnection
+        if len(self.edges) != n - 1:
+            raise GraphStructureError(f"{len(self.edges)} edges cannot form a tree over {n} joints")
+        shortest_path_hops(self)  # raises on disconnection
 
     def neighbours(self) -> list:
         adj = [[] for _ in range(self.joint_count)]

@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import numerics
 from .errors import ConfigError, DataError, DivergenceError, config_from_dict
 from .losses import total_loss
 from .metrics import EvalReport, evaluate_sequences, mpjpe, root_relative
 from .network import ModelConfig, PoseLifter, two_stage_forward
-from .numerics import _deal, load_checkpoint, no_grad, precision, save_checkpoint
+from .numerics import load_checkpoint, no_grad, precision, save_checkpoint
 from .skeleton import SkeletonGraph, human36m_skeleton, load_skeleton
 
 MM_PER_UNIT = 1000.0
@@ -254,77 +253,32 @@ def _stage_models(cfg: TrainConfig, skeleton: SkeletonGraph,
     return model, preliminary
 
 
-_GROUP_ELEMENTS = 1 << 16  # activation elements `_scored_pairs` lifts in one forward
-
-
 def _scored_pairs(model: PoseLifter, preliminary: PoseLifter | None, x2d_all: np.ndarray,
                   y_all: np.ndarray, indices, cfg: TrainConfig, root_index: int) -> list:
     """[(pred, ref)] per sequence in `indices`, in their order: the clean
     eval-mode prediction and its target, float64 metres, both root-relative
     when cfg.root_center is set.
 
-    `indices` is cut into groups of consecutive entries, each lifted by one
-    batched forward.  A sequence counts frames x joints x the wider stage's
-    embed_dim activation elements, and a group holds about _GROUP_ELEMENTS
-    of them, at least one sequence, and there are at least as many groups
-    as CPUs whenever there are that many sequences.  The groups are dealt
-    to the worker pool (`numerics._deal`), each part a contiguous run of
-    them on one CPU.  A no-grad eval-mode forward never mixes its batch
-    entries (batch norm uses its running statistics; norms, products and
-    attention work per row or per leading index), so the predictions equal
-    a serial per-sequence loop's bit for bit.  A non-finite prediction
-    raises DivergenceError naming the first such sequence in `indices`, as
-    the serial loop would.
-
-    Grouping saves per-call overhead: a T=27 sequence is thousands of
-    small numpy calls.  perfbench eval-t27 (32 sequences, C=64, float32,
-    2-vCPU Xeon, seed 29, alternating 10 s runs, medians):
-
-    ==================  ===================  ====================  ====
-    grouping            seq_per_s            peak_rss_mb           runs
-    ==================  ===================  ====================  ====
-    one sequence        26.2                 127.0                 8
-    2 (2^16 elements)   32.2 (+23%)          128.9 (+1.5%)         5
-    3                   33.9 (+29%)          132.2 (+4.0%)         3
-    4 (2^17 elements)   35.0 (+34%)          131.2 (+3.3%)         8
-    ==================  ===================  ====================  ====
-
-    Memory grows with the group: a no-grad two-stage forward peaks at 1.42
-    MB per sequence (tracemalloc), in the HGA cross-attention.  On one
-    CPU, groups of 2 lift the 32 sequences in 1.31 s against 1.38 s one at
-    a time, but one batch of all 32 takes 1.65 s against 1.49 s.  A T=243,
-    C=384 sequence (1.59M elements) is a group of one, whose forward deals
-    its own blocks.
+    The sequences are lifted in one no-grad forward, which spreads them
+    over the CPUs in groups (``PoseLifter.forward``) and equals a
+    per-sequence loop bit for bit.  A non-finite prediction raises
+    DivergenceError naming the first such sequence in `indices`.
     """
     indices = list(indices)
-    count = len(indices)
-    if not count:
+    if not indices:
         return []
-    config = model.config
-    width = max(config.embed_dim, preliminary.config.embed_dim if preliminary else 0)
-    per_group = max(1, _GROUP_ELEMENTS // (config.frames * config.joints * width))
-    groups = max(-(-count // per_group), min(count, numerics._WORKERS))
-    cuts = [count * g // groups for g in range(groups + 1)]
-    pairs = [None] * count
-
-    def score(first, last):
-        for g in range(first, last):
-            chosen = indices[cuts[g] : cuts[g + 1]]
-            if preliminary is not None:
-                out = two_stage_forward(x2d_all[chosen], preliminary, model)
-            else:
-                out = model.forward(x2d_all[chosen])
-            for j, i, pred in zip(range(cuts[g], cuts[g + 1]), chosen,
-                                  out.data.astype(np.float64)):
-                ref = y_all[i]
-                if not np.isfinite(pred).all():
-                    raise DivergenceError(f"non-finite prediction for sequence {i}")
-                if cfg.root_center:
-                    pred, ref = root_relative(pred, root_index), root_relative(ref, root_index)
-                pairs[j] = pred, ref
-
     with no_grad():
-        _deal(score, groups)
+        x2d = x2d_all[indices]
+        out = (model.forward(x2d) if preliminary is None
+               else two_stage_forward(x2d, preliminary, model))
+    pairs = []
+    for i, pred in zip(indices, out.data.astype(np.float64)):
+        ref = y_all[i]
+        if not np.isfinite(pred).all():
+            raise DivergenceError(f"non-finite prediction for sequence {i}")
+        if cfg.root_center:
+            pred, ref = root_relative(pred, root_index), root_relative(ref, root_index)
+        pairs.append((pred, ref))
     return pairs
 
 

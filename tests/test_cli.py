@@ -371,6 +371,10 @@ MALFORMED_INPUTS = {
                        "line 3"),
     "header-only CSV": (lambda p: ["dct", "--in", _written(p, "t.csv", "a,b\n")], 3,
                         "no data rows"),
+    "dct --T 0": (lambda p: ["dct", "--T", 0, "--in", _written(p, "t.csv", "1,2\n3,4\n")], 2,
+                  "--T"),
+    "inspect-adjacency --hops 0": (lambda p: ["inspect-adjacency", "--hops", 0], 2,
+                                   "hop_count"),
     "skeleton without joints": (lambda p: ["inspect-adjacency", "--skeleton",
                                            _written(p, "sk.json", '{"edges": []}')], 2, "joints"),
     "malformed skeleton JSON": (lambda p: ["gen-data", "--out", p / "g", "--skeleton",
@@ -413,5 +417,6 @@ def test_malformed_input_exit_codes(tmp_path, argv, exit_code, named):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert named in result.stderr
+    assert result.stdout == ""  # nothing is printed before the input is refused
     if argv[0] == "train":  # a refused run leaves no run directory behind
         assert not (tmp_path / "run").exists()

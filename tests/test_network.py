@@ -419,20 +419,25 @@ class TestTwoStage:
             two_stage_forward(np.zeros((3, 3, 2)), pre, longer)
 
 
-class TestBlockDeal:
-    """A no-grad, eval-mode forward deals a spatial block's frames and a
-    temporal block's joints to the worker pool in chunks, and gives the
-    serial result bit for bit; every other forward stays serial."""
+class TestParallelForward:
+    """A no-grad, eval-mode forward deals a batch's groups of sequences, or a
+    single sequence's spatial-block frames and temporal-block joints, to the
+    worker pool, and gives the serial result bit for bit; every other
+    forward stays serial."""
 
-    @staticmethod
-    def pipeline(dtype, embed_dim):
+    # Twelve frames: at embed_dim 256 a one-joint chunk's flat GEMMs then
+    # have 12 rows, enough for OpenBLAS to give each row as in a taller GEMM.
+    FRAMES = 12
+
+    @classmethod
+    def pipeline(cls, dtype, embed_dim):
         # embed_dim 256 takes `linear`'s flat GEMM for the square weights.
         with precision(dtype):
             skeleton = human36m_skeleton()
-            configs = [ModelConfig(frames=6, channels_in=c, embed_dim=embed_dim, depth=depth,
-                                   dropout=0.25) for c, depth in ((2, 2), (5, 1))]
+            configs = [ModelConfig(frames=cls.FRAMES, channels_in=c, embed_dim=embed_dim,
+                                   depth=depth, dropout=0.25) for c, depth in ((2, 2), (5, 1))]
             pre, main = (PoseLifter(cfg, skeleton, seed=90 + i) for i, cfg in enumerate(configs))
-        x2d = np.random.default_rng(91).normal(size=(2, 6, 17, 2)).astype(dtype)
+        x2d = np.random.default_rng(91).normal(size=(3, cls.FRAMES, 17, 2)).astype(dtype)
         return pre, main, x2d
 
     @staticmethod
@@ -441,8 +446,14 @@ class TestBlockDeal:
             return [pre.forward(x2d).data, two_stage_forward(x2d, pre, main).data]
 
     @staticmethod
+    def assert_bitwise(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g.view(f"u{g.itemsize}"), w.view(f"u{w.itemsize}"))
+
+    @staticmethod
     def counting_deals(monkeypatch):
-        """Record the chunk count of every deal `PoseLifter.forward` makes."""
+        """Record the piece count of every deal `PoseLifter.forward` makes."""
         counts, deal = [], network._deal
 
         def counted(run, count):
@@ -456,25 +467,50 @@ class TestBlockDeal:
     @pytest.mark.parametrize("embed_dim", [16, 256])
     @pytest.mark.parametrize("chunks", ["ragged", "one index each"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_no_grad_forward_equals_serial(self, monkeypatch, dtype, embed_dim, chunks, workers):
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_single_sequence_deals_its_blocks(self, monkeypatch, dtype, embed_dim, chunks,
+                                              workers, batched):
         pre, main, x2d = self.pipeline(dtype, embed_dim)
-        serial = self.lifted(dtype, pre, main, x2d)
+        x = x2d[:1] if batched else x2d[0]
+        serial = self.lifted(dtype, pre, main, x)
         counts = self.counting_deals(monkeypatch)
         assert not counts
         monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
         monkeypatch.setattr(numerics, "_WORKERS", workers)
         if chunks == "ragged":
-            # Five chunks a block: frames 0, 1, 2, 3 and 4-5, or joints
-            # 0-2, 3-5, 6-9, 10-12 and 13-16.
-            monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 2 * 6 * 17 * embed_dim // 5)
+            # Five chunks a block: frames 0-1, 2-3, 4-6, 7-8 and 9-11, or
+            # joints 0-2, 3-5, 6-9, 10-12 and 13-16.
+            monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS",
+                                self.FRAMES * 17 * embed_dim // 5)
             expected = {5}
         else:
             monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
-            expected = {6, 17}
-        for got, want in zip(self.lifted(dtype, pre, main, x2d), serial):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+            expected = {self.FRAMES, 17}
+        self.assert_bitwise(self.lifted(dtype, pre, main, x), serial)
         assert set(counts) == expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("embed_dim", [16, 256])
+    @pytest.mark.parametrize("per_group", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batch_deals_groups_that_deal_nothing(self, monkeypatch, dtype, embed_dim,
+                                                  per_group, workers):
+        pre, main, x2d = self.pipeline(dtype, embed_dim)
+        looped = [self.lifted(dtype, pre, main, x[None]) for x in x2d]
+        serial = [np.concatenate(outs) for outs in zip(*looped)]
+        counts = self.counting_deals(monkeypatch)
+        assert not counts
+        # Every block would be dealt in chunks, were groups to deal.
+        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(network, "_GROUP_ELEMENTS", per_group * self.FRAMES * 17 * embed_dim)
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        self.assert_bitwise(self.lifted(dtype, pre, main, x2d), serial)
+        groups = max(-(-len(x2d) // per_group), min(len(x2d), workers))
+        if groups > 1:  # one deal per stage forward
+            assert counts == [groups] * 3
+        else:  # a batch that is one group is lifted like a single sequence
+            assert set(counts) == {self.FRAMES, 17}
 
     @pytest.mark.parametrize("call", ["training", "recording", "attn_sink"])
     def test_other_forwards_stay_serial(self, monkeypatch, call):
@@ -496,12 +532,14 @@ class TestBlockDeal:
             pre.forward(x2d)
         assert counts
 
-    def test_float32_model_deals_in_a_float64_context(self, monkeypatch):
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_float32_model_deals_in_a_float64_context(self, monkeypatch, batched):
         # Each HGA wraps the skeletal adjacency in its own dtype, so a float32
         # model lifts float32 activations in float32 whatever the context.
         pre, _, x2d = self.pipeline(np.float32, 16)
+        monkeypatch.setattr(numerics, "_WORKERS", 1)
         with precision(np.float32), no_grad():
-            x = Tensor(x2d)
+            x = Tensor(x2d if batched else x2d[:1])
             serial = pre.forward(x).data
         with no_grad():
             unsplit = pre.forward(x).data
@@ -511,7 +549,7 @@ class TestBlockDeal:
         counts = self.counting_deals(monkeypatch)
         with no_grad():
             dealt = pre.forward(x).data
-        assert set(counts) == {6, 17}
+        assert set(counts) == ({2} if batched else {self.FRAMES, 17})
         for got in (unsplit, dealt):
             assert got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), serial.view(np.uint32))

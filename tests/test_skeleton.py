@@ -44,9 +44,9 @@ class TestShortestPathHops:
         assert hops[13, 16] == 6
 
     def test_disconnected_graph_reports_unreachable(self):
-        graph = SkeletonGraph(joint_count=4, edges=[(0, 1), (2, 3)], validate=False)
-        with pytest.raises(GraphStructureError, match=r"\[2, 3\]"):
-            shortest_path_hops(graph)
+        # n - 1 edges, but a cycle leaves joint 3 apart.
+        with pytest.raises(GraphStructureError, match=r"joints \[3\] unreachable"):
+            SkeletonGraph(joint_count=4, edges=[(0, 1), (1, 2), (0, 2)])
 
     def test_invariants(self):
         hops = shortest_path_hops(human36m_skeleton())
@@ -77,11 +77,10 @@ class TestWalk:
         assert np.array_equal(shortest_path_hops(self.TREE), oracle)
 
     def test_unreachable_joints_get_minus_one(self):
-        graph = SkeletonGraph(joint_count=4, edges=[(0, 1), (2, 3)], validate=False)
-        order, parent, hops = graph.walk(1)
-        assert order == [1, 0]
-        assert parent.tolist() == [1, -1, -1, -1]
-        assert hops.tolist() == [1, 0, -1, -1]
+        # The constructor names the joints that `walk` from joint 0 marks
+        # -1: a cycle over 0-2 spends the n - 1 edges, so 3 and 4 hang apart.
+        with pytest.raises(GraphStructureError, match=r"joints \[3, 4\] unreachable from joint 0"):
+            SkeletonGraph(joint_count=5, edges=[(0, 1), (1, 2), (0, 2), (3, 4)])
 
 
 class TestKhopAdjacency:

@@ -159,3 +159,23 @@ def test_every_private_module_name_is_referenced():
     unreferenced = sorted(f"{module}:{name}" for name, module in module_private_names().items()
                           if name not in referenced)
     assert not unreferenced, f"private names that no program code reads: {unreferenced}"
+
+
+def test_only_the_model_deals_work_to_the_pool():
+    # One module decides how a lift uses the CPUs: `network` is the only
+    # program code besides `numerics` itself that reads `numerics._deal`.
+    readers = set()
+    for directory in ("src", "perfbench", "demos"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                else:
+                    continue
+                if "_deal" in names:
+                    readers.add(path.relative_to(ROOT).as_posix())
+    assert readers <= {"src/poselift/numerics.py", "src/poselift/network.py"}, readers

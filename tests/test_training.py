@@ -1,8 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -323,9 +320,10 @@ class TestEvaluate:
 
 
 class TestParallelScoring:
-    """`evaluate` and `train`'s validation lift their sequences in parallel
-    parts of the worker pool (`numerics._deal`) and give the serial results
-    bit for bit, in the order of the sequences."""
+    """`evaluate` and `train`'s validation and preliminary lifts spread their
+    sequences over the worker pool (`PoseLifter.forward` deals them in
+    groups) and give the serial results bit for bit, in the order of the
+    sequences."""
 
     @pytest.fixture(scope="class")
     def stages(self, tmp_path_factory):
@@ -357,24 +355,28 @@ class TestParallelScoring:
             for name in serial:
                 assert report[name] == serial[name], name
 
-    def test_validation_history_equals_serial(self, tmp_path, monkeypatch):
-        data_dir = make_dataset(tmp_path, count=5)
+    @pytest.mark.parametrize("stage", ["preliminary", "main", "main, jitter"])
+    def test_validation_history_equals_serial(self, stages, tmp_path, monkeypatch, stage):
+        # The main stage also lifts its preliminary estimates without a tape:
+        # once for the cache, or per batch under input jitter.
+        extra = {"jitter_2d_std": 0.01} if stage.endswith("jitter") else {}
+        base = stages[stage.split(",")[0]]
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(numerics, "_WORKERS", workers)
-            result = train(tiny_train_config(data_dir, tmp_path / str(workers),
-                                              val_fraction=0.6))
+            result = train(replace(base, out_dir=str(tmp_path / str(workers)),
+                                   val_fraction=0.6, **extra))
             runs.append((result.epoch_val_mpjpe, result.epoch_losses,
                          Path(result.best_checkpoint).read_bytes()))
         assert len(runs[0][0]) == 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @staticmethod
-    def group_of(monkeypatch, count, *models):
-        """Set `_scored_pairs`' group size to `count` sequences of `models`."""
-        cfg = models[0].config
-        width = max(m.config.embed_dim for m in models)
-        monkeypatch.setattr(training, "_GROUP_ELEMENTS", count * cfg.frames * cfg.joints * width)
+    def group_of(monkeypatch, count, model):
+        """Set `PoseLifter.forward`'s group size to `count` sequences of `model`."""
+        cfg = model.config
+        monkeypatch.setattr(network, "_GROUP_ELEMENTS",
+                            count * cfg.frames * cfg.joints * cfg.embed_dim)
 
     @pytest.mark.parametrize("stage", ["preliminary", "main", "main, wider preliminary"])
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -397,19 +399,18 @@ class TestParallelScoring:
                     out = (model.forward(x) if preliminary is None
                            else two_stage_forward(x, preliminary, model))
                     looped.append(root_relative(out.data.astype(np.float64), root))
-        # The batch size of every forward of the scored model.
-        sizes, forward = [], PoseLifter.forward
+        # The size of every group the scored model lifts.
+        sizes, stack = [], PoseLifter._stack
 
         def counted(self, x, *args, **kwargs):
             if self is model:
-                sizes.append(len(x))
-            return forward(self, x, *args, **kwargs)
+                sizes.append(len(x.data))
+            return stack(self, x, *args, **kwargs)
 
-        monkeypatch.setattr(PoseLifter, "forward", counted)
+        monkeypatch.setattr(PoseLifter, "_stack", counted)
         monkeypatch.setattr(numerics, "_WORKERS", workers)
-        models = [m for m in (model, preliminary) if m is not None]
         for per_group in (1, 2, 3, len(x2d)):
-            self.group_of(monkeypatch, per_group, *models)
+            self.group_of(monkeypatch, per_group, model)
             for indices in ([0, 1, 2, 3, 4], [4, 0, 2, 3], []):
                 sizes.clear()
                 with pl.precision(precision):
@@ -424,11 +425,6 @@ class TestParallelScoring:
                 count = len(indices)
                 assert sum(sizes) == count and max(sizes, default=0) <= per_group
                 assert len(sizes) == max(-(-count // per_group), min(count, workers))
-
-    def test_groups_stay_below_the_block_deal(self):
-        # A group never reaches `PoseLifter.forward`'s own deal; only a
-        # single large sequence does.
-        assert training._GROUP_ELEMENTS < network._SPLIT_MIN_ELEMENTS
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("per_group", [1, 3, 5])
@@ -448,45 +444,30 @@ class TestParallelScoring:
                 training._scored_pairs(model, preliminary, x2d, y, range(len(x2d)), cfg,
                                        skeleton.root_index)
 
-    def test_nested_deal_runs_inline_without_a_hang(self, stages, monkeypatch, tmp_path):
-        # Every forward deals its blocks' chunks: a sequence part on the pool
-        # thread that dealt them to its own one-thread pool would wait forever.
-        # A thread joined with a timeout would fail such a test but leave the
-        # stuck pool thread, which interpreter exit joins forever, so the
-        # evaluation runs in a child process that is killed on time-out.
-        cfg_path = tmp_path / "main.json"
-        cfg_path.write_text(stages["main"].to_json())
+    @pytest.mark.parametrize("group_elements", [1, network._GROUP_ELEMENTS])
+    def test_deals_never_nest(self, stages, monkeypatch, group_elements):
+        # Every forward would deal its blocks' chunks were it not a group: a
+        # group part on the pool thread that dealt again to its own
+        # one-thread pool would wait forever.
         serial = self.evaluated(stages["main"], monkeypatch, 1)
-        env = {**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
-        try:
-            child = subprocess.run([sys.executable, "-c", NESTED_EVALUATE, str(cfg_path)],
-                                   capture_output=True, text=True, env=env, timeout=120)
-        except subprocess.TimeoutExpired:
-            pytest.fail("evaluate did not finish: a nested deal waited on its own pool")
-        assert child.returncode == 0, child.stderr
-        result = json.loads(child.stdout)
-        assert result["nested_deals"] > 0
-        assert result["report"] == json.loads(json.dumps(serial))
+        monkeypatch.setattr(network, "_GROUP_ELEMENTS", group_elements)
+        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 64)
+        running, counts, deal = [], [], network._deal
 
+        def counted(run, count):
+            assert not running, "a deal started while another was running"
+            running.append(count)
+            counts.append(count)
+            try:
+                deal(run, count)
+            finally:
+                running.pop()
 
-# `evaluate` on two workers, one sequence a group, with every forward's
-# blocks cut into chunks of 64 activation elements; prints the report and
-# how many deals ran inside a part.
-NESTED_EVALUATE = """
-import json, sys
-from poselift import network, numerics, training
-training._GROUP_ELEMENTS = 1
-network._SPLIT_MIN_ELEMENTS = 0
-network._SPLIT_BLOCK_ELEMENTS = 64
-numerics._WORKERS = 2
-deal, nested = numerics._deal, []
-def counted(run, count):
-    nested.append(numerics._in_part.get() and count > 1)
-    deal(run, count)
-network._deal = training._deal = counted
-report = training.evaluate(training.TrainConfig.from_json_file(sys.argv[1])).to_dict()
-print(json.dumps({"report": report, "nested_deals": sum(nested)}))
-"""
+        monkeypatch.setattr(network, "_deal", counted)
+        assert self.evaluated(stages["main"], monkeypatch, 2) == serial
+        # Two stage forwards, each dealing its five sequences in groups.
+        assert counts == [5 if group_elements == 1 else 2] * 2
 
 
 class TestDivergenceHandling:
