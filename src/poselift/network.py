@@ -20,7 +20,7 @@ from . import numerics
 from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward
 from .losses import LossWeights
-from .numerics import (Module, Parameter, Tensor, _deal, _grad_enabled,
+from .numerics import (Module, Parameter, Tensor, _Part, _Recorded, _deal, _grad_enabled,
                        as_tensor, dropout, gelu, layer_norm, linear, no_grad, precision,
                        scaled_dot_attention, uniform_init)
 from .skeleton import SkeletonGraph, _hybrid_weights, build_hybrid_adjacency
@@ -151,10 +151,14 @@ def embed_input(x, w_emb, b_emb=None, pe_spatial=None) -> Tensor:
 
 
 def spatial_block_forward(x, block: SpatialBlock, skeletal_adj, training: bool = False,
-                          rng=None, drop_rate: float = 0.0, attn_sink=None) -> Tensor:
+                          rng=None, drop_rate: float = 0.0, attn_sink=None,
+                          frames: int = 1) -> Tensor:
+    """Two HGAs, then the encoder over joints, its frames in `frames`
+    chunks (`_in_parts`)."""
     x = hga_forward(x, block.hga1, skeletal_adj, training=training, attn_sink=attn_sink)
     x = hga_forward(x, block.hga2, skeletal_adj, training=training, attn_sink=attn_sink)
-    return encoder_forward(x, block.ste, training, rng, drop_rate)
+    return _in_parts(lambda t, r: encoder_forward(t, block.ste, training, r, drop_rate),
+                     x, -3, frames, x.data.shape[-1], rng)
 
 
 def temporal_block_forward(x, block: TemporalBlock, training: bool = False,
@@ -172,31 +176,80 @@ def temporal_block_forward(x, block: TemporalBlock, training: bool = False,
 _SPLIT_MIN_ELEMENTS = 1 << 20    # activation elements from which one sequence's blocks are dealt
 _SPLIT_BLOCK_ELEMENTS = 1 << 18  # activation elements per chunk of a block
 _GROUP_ELEMENTS = 1 << 16        # activation elements per group of a batch
+_RECORD_MIN_ELEMENTS = 1 << 16   # activation elements from which a training step is dealt
 
 
-def _in_parts(block, x: Tensor, axis: int, count: int, channels: int) -> Tensor:
-    """``block(x)``, computed in `count` chunks of `x` on `axis`, for a
+def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) -> Tensor:
+    """``block(x, rng)``, computed in `count` chunks of `x` on `axis`, for a
     `block` that maps each index of `x` on `axis` alone to an output of x's
     shape, with `channels` on the last axis, and x's dtype.  The chunks are
     balanced cuts and views of `x`; `_deal` hands them out in contiguous
     runs, one part per CPU, and each writes its output into one
-    preallocated array.  Chunks of a deal never deal again.
+    preallocated array.  No part deals again.
+
+    Without a tape each chunk runs ``block(chunk, rng)``.  A recording
+    deal gives each chunk its own tape and, for `rng`, a `numerics._Part`
+    that draws its rows of each whole dropout mask; the block's own arrays
+    must hold the chunk on axis -3 and reach parameters only through
+    ``Tensor._accum_reduced``.  The node returned runs the parts'
+    backwards on the pool: each defers its parameter-gradient rows, which
+    are reduced once each in the serial layout (`numerics._Recorded`), and
+    writes its input gradient into one array laid out as its own, which
+    is how the serial backward lays it out.  The serial block's output,
+    loss, every gradient and the generator state are thus kept bit for
+    bit, for any number of parts.
     """
     if count <= 1:
-        return block(x)
+        return block(x, rng)
     n = x.data.shape[axis]
     out = np.empty(x.data.shape[:-1] + (channels,), x.data.dtype)
     cuts = [n * i // count for i in range(count + 1)]
     lead = (slice(None),) * (axis % x.data.ndim)
+    chunks = [lead + (slice(a, b),) for a, b in zip(cuts, cuts[1:])]
+    if not _grad_enabled.get():
+        def run(first, last):
+            for i in range(first, last):
+                out[chunks[i]] = block(Tensor(x.data[chunks[i]]), rng).data
 
-    def run(first, last):
+        with precision(x.data.dtype):  # chunk views and the output keep x's dtype
+            _deal(run, count)
+            return Tensor(out)
+
+    shared = _Recorded(rng, cuts)
+    parts = [_Part(shared, i) for i in range(count)]
+    with precision(x.data.dtype):
+        ins = [Tensor(x.data[c], requires_grad=x.requires_grad) for c in chunks]
+        node = Tensor(out)
+    outs = [None] * count
+
+    def forward(first, last):
         for i in range(first, last):
-            rows = lead + (slice(cuts[i], cuts[i + 1]),)
-            out[rows] = block(Tensor(x.data[rows])).data
+            outs[i] = parts[i].run(block, ins[i], parts[i])
+            out[chunks[i]] = outs[i].data
+            outs[i].data = out[chunks[i]]  # frees the part's own output array
 
-    with precision(x.data.dtype):  # chunk views and the output keep x's dtype
+    def backward(g):
+        grad_in = []
+
+        def run(first, last):
+            for i in range(first, last):
+                parts[i].run(outs[i].backward, g[chunks[i]])
+                outs[i] = None
+                if x.requires_grad:
+                    full = shared.gather("input", chunks[i], ins[i].grad, x.data.shape)
+                    if full is not None:
+                        grad_in.append(full)
+                ins[i] = None
+
         _deal(run, count)
-        return Tensor(out)
+        shared.finish()
+        if grad_in:
+            x._accum_owned(grad_in[0])
+
+    _deal(forward, count)
+    if outs[0].requires_grad:
+        node.requires_grad, node._parents, node._backward = True, (x,), backward
+    return node
 
 
 def regression_head(x, w_head, b_head=None) -> Tensor:
@@ -239,15 +292,17 @@ class PoseLifter(Module):
                 attn_sink: list | None = None) -> Tensor:
         """Lift (..., T, N, channels_in) to (..., T, N, 3).
 
-        This is the one place that decides how a lift uses the CPUs.  A
-        no-grad, eval-mode forward without an attention sink, whose
-        parameters have the input's dtype, spreads over the worker pool in
-        one of two ways.  A batch with more than one entry on axis 0 is cut
-        into groups of consecutive entries: about _GROUP_ELEMENTS
-        activation elements each (an entry counts frames x joints x
-        embed_dim), at least one entry, and at least one group per CPU
-        while entries last.  `_in_parts` deals the groups, and each runs
-        the stack serially (`_stack` with `deal` off).  A single sequence,
+        This is the one place that decides how a forward, and the backward
+        of a recording one, use the CPUs.  Only a forward without an
+        attention sink, whose parameters have the input's dtype, spreads
+        over the worker pool, in one of three ways; any other runs
+        serially.  A no-grad, eval-mode forward takes one of two.  A batch
+        with more than one entry on axis 0 is cut into groups of
+        consecutive entries: about _GROUP_ELEMENTS activation elements each
+        (an entry counts frames x joints x embed_dim), at least one entry,
+        and at least one group per CPU while entries last.  `_in_parts`
+        deals the groups, and each runs the stack serially (`_stack` with
+        one chunk a block).  A single sequence,
         or a batch that is one group, of at least _SPLIT_MIN_ELEMENTS
         elements instead deals each spatial block's frames and each
         temporal block's joints, in chunks of about _SPLIT_BLOCK_ELEMENTS
@@ -259,6 +314,21 @@ class PoseLifter(Module):
         long as BLAS gives each row of a GEMM as a taller GEMM would; this
         OpenBLAS does for the pieces these sizes make, but not for GEMMs of
         a few rows (6 rows at K=512 differ from the same rows among 102).
+
+        A recording, training-mode forward of at least _RECORD_MIN_ELEMENTS
+        deals each spatial block's encoder by frames and each temporal
+        block by joints, one chunk per CPU of at least two indices; the
+        HGAs stay whole, since their batch statistics couple every entry.
+        Each part records its own tape, and the step's output, loss,
+        gradients, buffers and generator state are the serial step's bit
+        for bit (`_in_parts`, `numerics._Recorded`).  Medians of 30 float32
+        steps, forward, loss, backward and AdamW, in runs of 10 on 1 and 2
+        workers (T=27, C=64, depth 3, 2-vCPU Xeon): the deal loses at B=1
+        (29k elements, 104 against 91 ms serially), is even at B=2 (59k,
+        166-180 against 169-170 ms) and gains from B=3 (88k, 263 against
+        273 ms; B=4 298 against 330 ms; B=8 617 against 724 ms).  Dealing
+        the STEs as well as the temporal blocks gains a little: 598 against
+        616 ms a B=8 step (medians of 40 steps, in runs of 10).
 
         Grouping saves per-call overhead: a T=27 sequence is thousands of
         small numpy calls.  perfbench eval-t27 (32 sequences, C=64,
@@ -287,15 +357,15 @@ class PoseLifter(Module):
         (1,17,8,T,48) attention, and at 1.59M (the T=243 lift's
         activations) took 0.51-0.58 of the serial time, but 0.95-1.04 where
         the pool thread stayed on the caller's CPU.  At 2^20 elements a call
-        that gains nothing loses a few percent at most; a T=27 training
-        step (C=64, B=8) has 235k activation elements and records anyway.
-        Chunks bound what a part allocates at once.  Each thread allocates
-        from its own malloc arena, which keeps much of what it frees.  On
-        the T=243 lift (two 10 s perfbench runs each, corrected op time and
-        peak RSS): one chunk per part 0.97-1.00 s and 203.5 MB, chunks of
-        2^18 elements (1 MiB in float32, inside the 2 MiB L2 per core)
-        0.91-0.93 s and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16
-        1.02 s and 173 MB.
+        that gains nothing loses a few percent at most.  Chunks bound what
+        a part allocates at once.  On the T=243 lift (two 10 s perfbench
+        runs each, corrected op time and peak RSS, while the pool thread
+        had a malloc arena of its own, which kept much of what it freed):
+        one chunk per part 0.97-1.00 s and 203.5 MB, chunks of 2^18
+        elements (1 MiB in float32, inside the 2 MiB L2 per core) 0.91-0.93
+        s and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16 1.02 s
+        and 173 MB.  The pool now shares the caller's arena
+        (`numerics._one_malloc_arena`).
         """
         x = as_tensor(x)
         cfg = self.config
@@ -304,34 +374,47 @@ class PoseLifter(Module):
         if x.data.shape[-2] != cfg.joints or x.data.shape[-3] != cfg.frames:
             raise ShapeError(f"expected {cfg.frames} frames x {cfg.joints} joints, got {x.data.shape}")
         # A piece's output has x's dtype only if every parameter has it.
-        parallel = (not training and attn_sink is None and not _grad_enabled.get()
-                    and all(p.data.dtype == x.data.dtype for p in self.parameters()))
+        uniform = (attn_sink is None
+                   and all(p.data.dtype == x.data.dtype for p in self.parameters()))
+        recording = _grad_enabled.get()
         activations = x.data.size // cfg.channels_in * cfg.embed_dim
         entries = x.data.shape[0] if x.data.ndim > 3 else 1
-        groups = 1
-        if parallel and entries > 1:
-            per_group = max(1, _GROUP_ELEMENTS // (activations // entries))
-            groups = max(-(-entries // per_group), min(entries, numerics._WORKERS))
-        if groups > 1:
-            return _in_parts(lambda t: self._stack(t, training, rng, attn_sink, deal=False),
-                             x, 0, groups, 3)
-        return self._stack(x, training, rng, attn_sink,
-                           deal=parallel and activations >= _SPLIT_MIN_ELEMENTS)
+        frames = joints = 1
+        if uniform and not training and not recording:
+            if entries > 1:
+                per_group = max(1, _GROUP_ELEMENTS // (activations // entries))
+                groups = max(-(-entries // per_group), min(entries, numerics._WORKERS))
+                if groups > 1:
+                    return _in_parts(lambda t, r: self._stack(t, training, r, attn_sink, 1, 1),
+                                     x, 0, groups, 3, rng)
+            if activations >= _SPLIT_MIN_ELEMENTS:
+                chunks = activations // _SPLIT_BLOCK_ELEMENTS
+                frames, joints = min(cfg.frames, chunks), min(cfg.joints, chunks)
+        elif uniform and training and recording and activations >= _RECORD_MIN_ELEMENTS:
+            # Chunks of at least two indices: a chunk's layout then shows where its axis lies.
+            frames = min(cfg.frames // 2, numerics._WORKERS)
+            joints = min(cfg.joints // 2, numerics._WORKERS)
+        return self._stack(x, training, rng, attn_sink, frames, joints)
 
-    def _stack(self, x: Tensor, training: bool, rng, attn_sink, deal: bool) -> Tensor:
-        """Embedding, blocks and head; if `deal`, each block in chunks."""
+    def _stack(self, x: Tensor, training: bool, rng, attn_sink, frames: int,
+               joints: int) -> Tensor:
+        """Embedding, blocks and head, each block's frames and joints in
+        `frames` and `joints` chunks; in training, the spatial block's
+        encoder alone is cut."""
         drop = self.config.dropout
         e = embed_input(x, self.w_emb, self.b_emb, self.pe_spatial)
         channels = e.data.shape[-1]
-        chunks = e.data.size // _SPLIT_BLOCK_ELEMENTS if deal else 1
-        frames, joints = min(e.data.shape[-3], chunks), min(e.data.shape[-2], chunks)
         adj = self.hybrid.skeletal
         for l, (sb, tb) in enumerate(self.blocks):
             pe = self.pe_temporal if l == 0 else None
-            e = _in_parts(lambda t: spatial_block_forward(t, sb, adj, training, rng, drop,
-                                                          attn_sink), e, -3, frames, channels)
-            e = _in_parts(lambda t: temporal_block_forward(t, tb, training, rng, drop, pe),
-                          e, -2, joints, channels)
+            if training:  # batch statistics couple every entry in the HGAs
+                e = spatial_block_forward(e, sb, adj, training, rng, drop, attn_sink, frames)
+            else:
+                e = _in_parts(lambda t, r: spatial_block_forward(t, sb, adj, training, r, drop,
+                                                                 attn_sink), e, -3, frames,
+                              channels, rng)
+            e = _in_parts(lambda t, r: temporal_block_forward(t, tb, training, r, drop, pe),
+                          e, -2, joints, channels, rng)
         return regression_head(e, self.w_head, self.b_head)
 
 

@@ -9,10 +9,13 @@ are context variables, so each thread keeps its own setting.
 Computation is numpy, and each kernel runs once on its whole arrays.
 One pool of threads, one per CPU, takes the parts of independent work
 that one caller decides on (`_deal`): ``network.PoseLifter.forward``,
-which deals a no-grad batch's groups of sequences, or a single large
-sequence's block chunks.  None of this changes the arithmetic, so
-identical inputs reproduce bit-identical results whatever the number of
-CPUs.
+which deals a no-grad batch's groups of sequences, a single large
+sequence's block chunks, or a training step's encoder chunks, each with
+its own tape.  The parts of such a recorded deal draw each dropout mask
+whole and hand their parameter gradients over unreduced, so that each is
+reduced once as the serial backward reduces it (`_Recorded`).  None of
+this changes the arithmetic, so identical inputs reproduce bit-identical
+results whatever the number of CPUs.
 
 The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
@@ -27,9 +30,11 @@ little-endian f32 payload).
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -44,6 +49,8 @@ _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # Per-context state: a thread, or a part that `_deal` runs, sees its own.
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 _default_dtype = contextvars.ContextVar("default_dtype", default=np.float64)
+# The part of a recorded deal whose backward runs in this context (`_Part`).
+_part = contextvars.ContextVar("part", default=None)
 
 
 class no_grad:
@@ -142,6 +149,22 @@ class Tensor:
             else:
                 self.grad += g
 
+    def _accum_reduced(self, g: np.ndarray, owned: bool = False) -> None:
+        """Accumulate `g` summed down to this tensor's shape (`_unbroadcast`);
+        `owned` says the caller freshly allocated `g`.  A pair (a, b) for `g`
+        stands for the batched product a @ b.  In the backward of a part of a
+        recorded deal a Parameter's gradient is instead handed, unreduced, to
+        the deal (`_Part.defer`), which forms such a product in its rows."""
+        if type(self) is Parameter:
+            part = _part.get()
+            if part is not None:
+                part.defer(self, g)
+                return
+        if isinstance(g, tuple):
+            g, owned = np.matmul(*g), True
+        gb = _unbroadcast(g, self.data.shape)
+        (self._accum_owned if owned or gb is not g else self._accum)(gb)
+
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of this tensor w.r.t. every ancestor.
 
@@ -170,7 +193,8 @@ class Tensor:
         if seed is None:
             seed = np.ones_like(self.data)
         self._accum(np.asarray(seed, dtype=self.data.dtype))
-        for node in reversed(order):
+        while order:  # popped, so that a node is freed once propagated
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 if node is not self:
@@ -199,11 +223,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                ga = _unbroadcast(g, self.data.shape)
-                (self._accum if ga is g else self._accum_owned)(ga)
+                self._accum_reduced(g)
             if other.requires_grad:
-                gb = _unbroadcast(g, other.data.shape)
-                (other._accum if gb is g else other._accum_owned)(gb)
+                other._accum_reduced(g)
 
         return Tensor._node(out_data, (self, other), bw)
 
@@ -224,9 +246,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accum_owned(_unbroadcast(g * other.data, self.data.shape))
+                self._accum_reduced(g * other.data, owned=True)
             if other.requires_grad:
-                other._accum_owned(_unbroadcast(g * self.data, other.data.shape))
+                other._accum_reduced(g * self.data, owned=True)
 
         return Tensor._node(out_data, (self, other), bw)
 
@@ -243,9 +265,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accum_owned(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
+                self._accum_reduced(g @ np.swapaxes(b, -1, -2), owned=True)
             if other.requires_grad:
-                other._accum_owned(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+                other._accum_reduced(np.swapaxes(a, -1, -2) @ g, owned=True)
 
         return Tensor._node(out_data, (self, other), bw)
 
@@ -396,6 +418,7 @@ def l2norm_last(x) -> Tensor:
 _FLAT_GEMM_MIN_WEIGHT = 1 << 16   # weight entries from which `linear` flattens its GEMM
 _ROW_SWEEP_BELOW = 32             # softmax row length below which `_row_max` sweeps
 _ATTENTION_SLICE_BYTES = 1 << 21  # scores per slice in `scaled_dot_attention`
+_DEAL_LIVE_BYTES = 1 << 20        # shared arrays a recorded deal's parts may hold (`_Recorded`)
 
 
 def _cpu_count() -> int:
@@ -409,6 +432,22 @@ _WORKERS = _cpu_count()
 _pool = None  # (ThreadPoolExecutor, its thread count), made by the first deal
 
 
+def _one_malloc_arena() -> None:
+    """Have threads started from now on allocate from glibc's main malloc
+    arena (``mallopt(M_ARENA_MAX, 1)``); elsewhere do nothing.  A pool
+    thread with an arena of its own keeps what its parts of a training
+    step free apart from the caller's heap.  perfbench train-t27, seed 29,
+    10 s runs, peak RSS: 321-322 MB serially; dealt, 330-350 MB over six
+    runs (two near 349 MB) with such an arena and 331-334 MB over six with
+    the shared one, at the same speed.  numpy allocates with the GIL held,
+    so the threads hardly contend for the arena's lock.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
+    except (AttributeError, OSError, TypeError):  # not glibc
+        pass
+
+
 def _deal(run, count: int) -> None:
     """Run ``run(first, last)`` over range(count) in contiguous runs, one
     part per CPU the process may use.
@@ -418,8 +457,10 @@ def _deal(run, count: int) -> None:
     (``np.errstate``), `no_grad` and `precision` hold in every part and
     what a part sets there stays in that part.  The call returns, or
     raises the first part's exception, only once every part has finished.
-    Its one caller is ``network._in_parts``, whose parts never deal again:
-    a pool thread that waited on its own pool would wait forever.
+    Its one caller is ``network._in_parts``, for a forward's parts and for
+    the backward of a recorded deal's parts, which ``Tensor.backward``
+    reaches on the caller's thread.  Parts never deal again: a pool thread
+    that waited on its own pool would wait forever.
     """
     parts = min(_WORKERS, count)
     if parts <= 1:
@@ -427,6 +468,7 @@ def _deal(run, count: int) -> None:
         return
     global _pool
     if _pool is None or _pool[1] != _WORKERS - 1:
+        _one_malloc_arena()
         _pool = (ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="poselift-part"),
                  _WORKERS - 1)
     deal = [count * i // parts for i in range(parts + 1)]
@@ -438,6 +480,154 @@ def _deal(run, count: int) -> None:
         wait(futures)
     for future in futures:
         future.result()
+
+
+def _empty_in_layout(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """An uninitialised array of `shape` and a's dtype whose axes lie in
+    memory in the order a's do (by stride, largest first)."""
+    order = sorted(range(a.ndim), key=lambda i: -a.strides[i])
+    return np.empty([shape[i] for i in order], a.dtype).transpose(np.argsort(order))
+
+
+class _Recorded:
+    """What the parts of one recorded deal share (``network._in_parts``).
+
+    Such a deal runs a block on chunks of its input, each part recording
+    its own tape on its own thread, and the block's own arrays hold a
+    part's chunk on axis -3, cut at `cuts`.  Dropout draws and parameter
+    gradients then come out as one serial block makes them:
+
+    - the parts' k-th dropout draw is one ``rng.random`` draw of the whole
+      mask, made by whichever part reaches it first, so in the serial
+      order, and each part takes its rows of it (`_Part.random`);
+    - in a part's backward, each Parameter gradient is handed over
+      unreduced (`_Part.defer`): its rows go into one full array, made by
+      the first writer in its layout, and the part that completes the
+      array reduces it once with `_unbroadcast`, as the serial backward
+      reduces the same array in the same layout.  `finish` then adds the
+      results to the parameters in the order of their contributions.
+
+    A part that would make a new shared array while more than
+    _DEAL_LIVE_BYTES of them wait for other parts' rows first waits for
+    the others to catch up, so a part that runs ahead cannot pile them up
+    (unbounded, three float32 train-t27-sized steps on two workers peaked
+    at 321.7 MB RSS, against 304.5-308.7 MB in two runs with the bound,
+    each thread then on its own malloc arena); a failing part releases
+    every wait.  Each part must run on its own thread, so there are at
+    most _WORKERS parts.
+    """
+
+    def __init__(self, rng, cuts: list):
+        self.rng, self.cuts = rng, cuts
+        self.parts = len(cuts) - 1
+        if self.parts > _WORKERS:
+            raise ValueError(f"a recorded deal of {self.parts} parts on {_WORKERS} CPUs")
+        self.turn = threading.Condition()
+        self.live = 0       # bytes of the shared arrays below
+        self.failed = False
+        self.draws = []     # [whole draw, or None once every part took its rows; takers]
+        self.full = {}      # key -> [full array, parts that wrote their rows]
+        self.reduced = []   # (contribution number, Parameter, reduced gradient)
+
+    def _wait_for_room(self, pending) -> None:
+        """With `turn` held: wait while `pending()` and the live arrays exceed the cut-off."""
+        while pending() and self.live > _DEAL_LIVE_BYTES and not self.failed:
+            self.turn.wait()
+
+    def _release(self, a: np.ndarray) -> None:
+        self.live -= a.nbytes
+        self.turn.notify_all()
+
+    def gather(self, key, rows: tuple, g, shape: tuple) -> np.ndarray | None:
+        """Write `g` into `rows` of the full `shape` array for `key`, made in
+        g's layout, or C order for a product pair; the array to the part
+        whose write completes it, else None."""
+        product = isinstance(g, tuple)
+        with self.turn:
+            self._wait_for_room(lambda: key not in self.full)
+            entry = self.full.get(key)
+            if entry is None:
+                full = (np.empty(shape, np.result_type(*g)) if product
+                        else _empty_in_layout(g, shape))
+                entry = self.full[key] = [full, 0]
+                self.live += full.nbytes
+        if product:
+            np.matmul(*g, out=entry[0][rows])
+        else:
+            entry[0][rows] = g
+        with self.turn:
+            entry[1] += 1
+            if entry[1] < self.parts:
+                return None
+            del self.full[key]
+            self._release(entry[0])
+        return entry[0]
+
+    def finish(self) -> None:
+        """Add every reduced parameter gradient, in contribution order."""
+        for _, p, g in sorted(self.reduced, key=lambda r: r[0]):
+            p._accum_owned(g)
+
+
+class _Part:
+    """Part `i` of a recorded deal (`_Recorded`): the source of its dropout
+    draws, and what runs its forward and backward."""
+
+    def __init__(self, shared: _Recorded, i: int):
+        self.shared = shared
+        self.rows = (Ellipsis, slice(shared.cuts[i], shared.cuts[i + 1]), slice(None), slice(None))
+        self.size = shared.cuts[i + 1] - shared.cuts[i]
+        self.draws = 0
+        self.contributions = {}
+
+    def _whole(self, shape: tuple) -> tuple:
+        if len(shape) < 3 or shape[-3] != self.size:
+            raise ShapeError(f"a dealt block's array {shape} does not hold its chunk on axis -3")
+        return shape[:-3] + (self.shared.cuts[-1],) + shape[-2:]
+
+    def random(self, shape: tuple) -> np.ndarray:
+        """This part's rows of the next draw, as ``rng.random`` of the whole."""
+        shared, k = self.shared, self.draws
+        self.draws += 1
+        with shared.turn:
+            shared._wait_for_room(lambda: k == len(shared.draws))
+            if k == len(shared.draws):
+                values = shared.rng.random(self._whole(shape))
+                shared.draws.append([values, 0])
+                shared.live += values.nbytes
+            entry = shared.draws[k]
+            values = entry[0]
+            entry[1] += 1
+            if entry[1] == shared.parts:
+                entry[0] = None
+                shared._release(values)
+        return values[self.rows]
+
+    def defer(self, p: Tensor, g: np.ndarray) -> None:
+        """Take Parameter `p`'s unreduced gradient rows `g` (see `_Recorded`)."""
+        k = self.contributions.get(id(p), 0)
+        self.contributions[id(p)] = k + 1
+        shape = (np.broadcast_shapes(g[0].shape[:-2], g[1].shape[:-2])
+                 + (g[0].shape[-2], g[1].shape[-1]) if isinstance(g, tuple) else g.shape)
+        full = self.shared.gather((id(p), k), self.rows, g, self._whole(shape))
+        if full is not None:
+            reduced = _unbroadcast(full, p.data.shape)
+            with self.shared.turn:
+                self.shared.reduced.append((k, p, reduced))
+
+    def run(self, fn, *args):
+        """``fn(*args)`` as this part, deferring its parameter gradients;
+        an exception releases the other parts' waits."""
+        token = _part.set(self)
+        try:
+            return fn(*args)
+        except BaseException:
+            with self.shared.turn:
+                self.shared.failed = True
+                self.shared.turn.notify_all()
+            raise
+        finally:
+            _part.reset(token)
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -502,10 +692,9 @@ def _linear_backward(g: np.ndarray, xs: tuple, w: Tensor, b) -> None:
             for t, piece in zip(xs, np.split(gx, offsets, axis=-1)):
                 t._accum(piece)
     if w.requires_grad:
-        w._accum_owned(_unbroadcast(np.swapaxes(_joined(xs), -1, -2) @ g, w.data.shape))
+        w._accum_reduced((np.swapaxes(_joined(xs), -1, -2), g))
     if b is not None and b.requires_grad:
-        gb = _unbroadcast(g, b.data.shape)
-        (b._accum if gb is g else b._accum_owned)(gb)
+        b._accum_reduced(g)
 
 
 def _head_view(a: np.ndarray, heads: int) -> np.ndarray:
@@ -791,7 +980,7 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
         # V first: with K = V (hga.npsc) its gradient is dV + dK in that order.
         for t, gt in ((v, gv), (q, gq), (k, gk)):
             if gt is not None:
-                t._accum_owned(_unbroadcast(gt, t.data.shape))
+                t._accum_reduced(gt, owned=True)
 
     return Tensor._node(out_data, (q, k, v), bw)
 
@@ -859,10 +1048,9 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None =
         xhat = x.data - centre
         xhat *= inv
         if beta is not None and beta.requires_grad:
-            gb = _unbroadcast(g, beta.data.shape)
-            (beta._accum if gb is g else beta._accum_owned)(gb)
+            beta._accum_reduced(g)
         if gamma is not None and gamma.requires_grad:
-            gamma._accum_owned(_unbroadcast(g * xhat, gamma.data.shape))
+            gamma._accum_reduced(g * xhat, owned=True)
         if not x.requires_grad:
             return
         h = g if gamma is None else g * gamma.data

@@ -74,6 +74,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
             raise ConfigError(f"grad_clip must be finite and > 0 or null, got {self.grad_clip}")
+        if self.model.frames < 2:
+            raise ConfigError(f"training needs at least 2 frames (the motion terms), "
+                              f"got model.frames={self.model.frames}")
         if self.stage == "preliminary" and self.model.channels_in != 2:
             raise ConfigError("preliminary stage requires a channels_in=2 model")
         if self.stage == "main":

@@ -293,6 +293,13 @@ def _mixed_dataset(tmp_path):
     return ["train", "--config", path]
 
 
+def _one_frame_train(tmp_path):
+    """train on a generated 1-frame dataset, at 1 frame."""
+    run(["gen-data", "--out", tmp_path / "ds", "--count", 2, "--frames", 1])
+    return ["train", "--data", tmp_path / "ds", "--out", tmp_path / "run", "--frames", 1,
+            "--epochs", 1, "--dim", 8]
+
+
 def _written(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -363,6 +370,7 @@ MALFORMED_INPUTS = {
     "config not an object": (lambda p: ["train", "--config", _written(p, "c.json", "[1]")], 2,
                              "JSON object"),
     "sequences of different lengths": (_mixed_dataset, 3, "seq_002.pseq"),
+    "1-frame training": (_one_frame_train, 2, "at least 2 frames"),
     "ragged CSV": (lambda p: ["dct", "--in", _written(p, "t.csv", "a,b\n1,2\n3\n")], 3,
                    "line 3"),
     "non-numeric CSV": (lambda p: ["smooth", "--keep", 1, "--in",

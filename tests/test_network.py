@@ -273,7 +273,8 @@ class TestPoseLifter:
             tracemalloc.stop()
         assert peak < 4.5e6
 
-    def test_training_step_peak_memory(self):
+    @pytest.mark.parametrize("dealt", [False, True])
+    def test_training_step_peak_memory(self, monkeypatch, dealt):
         # Regression guard for what the training tape keeps: a float64
         # T=27 forward in training mode, its loss and backward peaked at
         # 36.7 MB by tracemalloc while the norms kept their normalised
@@ -282,7 +283,12 @@ class TestPoseLifter:
         # while each attention kept its softmax weights and each HGA its
         # GELU output before the residual.  Attention keeps only its row
         # max and sum now, and the HGA GELU adds the residual in its node:
-        # 26.6 MB.
+        # 26.6 MB.  Dealt to two parts (tracemalloc follows every thread),
+        # deferred gradient rows that pile up would show here.
+        if dealt:
+            monkeypatch.setattr(network, "_RECORD_MIN_ELEMENTS", 0)
+            monkeypatch.setattr(numerics, "_WORKERS", 2)
+        counts = TestParallelForward.counting_deals(monkeypatch)
         cfg = ModelConfig(frames=27, channels_in=5, embed_dim=32, depth=1)
         model = PoseLifter(cfg, human36m_skeleton(), seed=0)
         rng = np.random.default_rng(0)
@@ -294,6 +300,7 @@ class TestPoseLifter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert counts == ([2] * 4 if dealt else [])
         assert peak < 28.5e6
 
     def test_train_step_fingerprint(self):
@@ -512,19 +519,25 @@ class TestParallelForward:
         else:  # a batch that is one group is lifted like a single sequence
             assert set(counts) == {self.FRAMES, 17}
 
-    @pytest.mark.parametrize("call", ["training", "recording", "attn_sink"])
+    @pytest.mark.parametrize("call", ["attn_sink", "recording attn_sink", "eval-mode recording",
+                                      "no-grad training"])
     def test_other_forwards_stay_serial(self, monkeypatch, call):
+        # Training forwards that record are dealt (TestRecordedDeal); these are not.
         pre, _, x2d = self.pipeline(np.float32, 16)
         monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
         monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(network, "_RECORD_MIN_ELEMENTS", 0)
         monkeypatch.setattr(numerics, "_WORKERS", 2)
         counts = self.counting_deals(monkeypatch)
+        rng = np.random.default_rng(92)
         with precision(np.float32):
-            if call == "recording":
+            if call == "recording attn_sink":
+                assert pre.forward(x2d, training=True, rng=rng, attn_sink=[]).requires_grad
+            elif call == "eval-mode recording":
                 assert pre.forward(x2d).requires_grad
             with no_grad():
-                if call == "training":
-                    pre.forward(x2d, training=True, rng=np.random.default_rng(92))
+                if call == "no-grad training":
+                    pre.forward(x2d, training=True, rng=rng)
                 elif call == "attn_sink":
                     pre.forward(x2d, attn_sink=[])
         assert not counts
@@ -553,3 +566,120 @@ class TestParallelForward:
         for got in (unsplit, dealt):
             assert got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), serial.view(np.uint32))
+
+
+class TestRecordedDeal:
+    """A recording, training-mode forward deals each STE's frames and each
+    temporal block's joints to the worker pool, every part on its own tape,
+    and its step equals the serial step bit for bit."""
+
+    FRAMES = 12
+
+    @classmethod
+    def steps(cls, monkeypatch, dtype, drop, batch, depth, workers, embed_dim=16):
+        """(every array one step makes, generator state after it, the deals
+        made): output, loss, parameter gradients, then parameters and
+        buffers after the backward and after two AdamW steps."""
+        monkeypatch.setattr(network, "_RECORD_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        counts = TestParallelForward.counting_deals(monkeypatch)
+        with precision(dtype):
+            cfg = ModelConfig(frames=cls.FRAMES, channels_in=2, embed_dim=embed_dim,
+                              depth=depth, dropout=drop)
+            model = PoseLifter(cfg, human36m_skeleton(), seed=93)
+            optimizer = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
+            rng = np.random.default_rng(94)
+            x = rng.normal(size=(batch, cls.FRAMES, 17, 2))
+            y = rng.normal(size=(batch, cls.FRAMES, 17, 3))
+            arrays, state = [], None
+            for step in range(2):
+                out = model.forward(x, training=True, rng=rng)
+                loss = total_loss(out, y, cfg.loss_weights()).total
+                model.zero_grad()
+                loss.backward()
+                if step == 0:
+                    arrays += [out.data, loss.data] + [p.grad for p in model.parameters()]
+                    arrays += list(snapshot(model).values())
+                    state = rng.bit_generator.state
+                optimizer.step()
+            arrays += list(snapshot(model).values())
+        return arrays, state, counts
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("drop", [0.0, 0.25])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_step_equals_the_serial_step(self, monkeypatch, dtype, drop, batch, depth,
+                                         embed_dim=16):
+        serial, serial_state, counts = self.steps(monkeypatch, dtype, drop, batch, depth, 1,
+                                                  embed_dim)
+        assert not counts
+        for workers in (2, 3):
+            dealt, state, counts = self.steps(monkeypatch, dtype, drop, batch, depth, workers,
+                                              embed_dim)
+            # Per step and block, the STE and the temporal block, forward and backward.
+            assert counts == [workers] * (8 * depth)
+            assert state == serial_state
+            TestParallelForward.assert_bitwise([np.atleast_1d(a) for a in dealt],
+                                               [np.atleast_1d(a) for a in serial])
+
+    def test_flat_gemm_step_equals_the_serial_step(self, monkeypatch):
+        # At C=256 the feed-forward weights take `linear`'s flat GEMM, whose
+        # rows each chunk computes in a shorter GEMM.
+        self.test_step_equals_the_serial_step(monkeypatch, np.float32, 0.25, 1, 1, 256)
+
+    @pytest.mark.parametrize("seed_layout", ["C order", "joint-major"])
+    def test_temporal_input_gradient_keeps_the_serial_layout(self, monkeypatch, seed_layout):
+        # A joint-major output gradient comes back through the block's two
+        # swaps as a joint-major input gradient; later sums over its leading
+        # axes run in memory order, so the layout is part of the result.
+        grads = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            with precision(np.float32):
+                cfg = ModelConfig(frames=self.FRAMES, channels_in=2, embed_dim=16, depth=1,
+                                  dropout=0.25)
+                block = PoseLifter(cfg, human36m_skeleton(), seed=97).blocks[0][1]
+                rng = np.random.default_rng(98)
+                x = Tensor(rng.normal(size=(3, self.FRAMES, 17, 16)), requires_grad=True)
+                out = network._in_parts(
+                    lambda t, r: temporal_block_forward(t, block, True, r, 0.25),
+                    x, -2, workers, 16, rng)
+                seed = rng.normal(size=out.data.shape).astype(np.float32)
+                if seed_layout == "joint-major":
+                    seed = np.ascontiguousarray(seed.swapaxes(1, 2)).swapaxes(1, 2)
+                out.backward(seed)
+            grads.append([x.grad] + [p.grad for p in block.parameters()])
+        for got in grads[1:]:
+            assert got[0].strides == grads[0][0].strides
+            TestParallelForward.assert_bitwise(got, grads[0])
+        assert x.grad.flags.c_contiguous == (seed_layout == "C order")
+
+    def test_failing_part_raises_once_every_part_finished(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        finished, deal = [], network._deal
+
+        def recorded(run, count):
+            def part(first, last):
+                try:
+                    run(first, last)
+                finally:
+                    finished.append(first)
+            deal(part, count)
+
+        monkeypatch.setattr(network, "_deal", recorded)
+        with precision(np.float32):
+            cfg = ModelConfig(frames=self.FRAMES, channels_in=2, embed_dim=16, depth=1)
+            block = PoseLifter(cfg, human36m_skeleton(), seed=95).blocks[0][1]
+            rng = np.random.default_rng(96)
+            x = Tensor(rng.normal(size=(2, self.FRAMES, 17, 16)), requires_grad=True)
+            out = network._in_parts(
+                lambda t, r: temporal_block_forward(t, block, True, r, 0.25), x, -2, 2, 16, rng)
+            # Joints 8-16 are the pool's part: its first dropout backward overflows.
+            seed = np.ones(out.data.shape, np.float32)
+            seed[..., 8:, :] = 3e38
+            finished.clear()
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                out.backward(seed)
+        assert sorted(finished) == [0, 1]
+        assert x.grad is None

@@ -179,3 +179,21 @@ def test_only_the_model_deals_work_to_the_pool():
                 if "_deal" in names:
                     readers.add(path.relative_to(ROOT).as_posix())
     assert readers <= {"src/poselift/numerics.py", "src/poselift/network.py"}, readers
+
+
+def test_only_numerics_starts_threads():
+    # One pool: no program code but `numerics` imports a thread or process module.
+    banned = {"threading", "concurrent", "multiprocessing"}
+    importers = set()
+    for directory in ("src", "perfbench", "demos"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] in banned for m in modules):
+                    importers.add(path.relative_to(ROOT).as_posix())
+    assert importers <= {"src/poselift/numerics.py"}, importers
