@@ -39,9 +39,10 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     skeleton = _load_skeleton_arg(args.skeleton)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         seq = data_mod.generate_motion(skeleton, args.frames, fps=args.fps, seed=args.seed + i)
+        if i == 0:  # made once generate_motion has accepted --frames and --fps
+            out.mkdir(parents=True, exist_ok=True)
         data_mod.write_sequence(seq, out / f"seq_{i:03d}.pseq")
     save_skeleton(skeleton, out / "skeleton.json")
     manifest = {"count": args.count, "frames": args.frames, "fps": args.fps,

@@ -20,9 +20,8 @@ from . import numerics
 from .errors import ConfigError, ShapeError
 from .hga import HgaParams, default_head_count, hga_forward
 from .losses import LossWeights
-from .numerics import (Module, Parameter, Tensor, _Part, _Recorded, _deal, _grad_enabled,
-                       as_tensor, dropout, gelu, layer_norm, linear, no_grad, precision,
-                       scaled_dot_attention, uniform_init)
+from .numerics import (Module, Parameter, Tensor, _grad_enabled, _in_parts, as_tensor, dropout,
+                       gelu, layer_norm, linear, no_grad, scaled_dot_attention, uniform_init)
 from .skeleton import SkeletonGraph, _hybrid_weights, build_hybrid_adjacency
 
 
@@ -173,83 +172,9 @@ def temporal_block_forward(x, block: TemporalBlock, training: bool = False,
     return x.swapaxes(-3, -2)
 
 
-_SPLIT_MIN_ELEMENTS = 1 << 20    # activation elements from which one sequence's blocks are dealt
-_SPLIT_BLOCK_ELEMENTS = 1 << 18  # activation elements per chunk of a block
+_DEAL_MIN_ELEMENTS = 1 << 16    # activation elements from which one sequence's blocks are dealt
+_SPLIT_BLOCK_ELEMENTS = 1 << 18  # activation elements per chunk of a no-grad block
 _GROUP_ELEMENTS = 1 << 16        # activation elements per group of a batch
-_RECORD_MIN_ELEMENTS = 1 << 16   # activation elements from which a training step is dealt
-
-
-def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) -> Tensor:
-    """``block(x, rng)``, computed in `count` chunks of `x` on `axis`, for a
-    `block` that maps each index of `x` on `axis` alone to an output of x's
-    shape, with `channels` on the last axis, and x's dtype.  The chunks are
-    balanced cuts and views of `x`; `_deal` hands them out in contiguous
-    runs, one part per CPU, and each writes its output into one
-    preallocated array.  No part deals again.
-
-    Without a tape each chunk runs ``block(chunk, rng)``.  A recording
-    deal gives each chunk its own tape and, for `rng`, a `numerics._Part`
-    that draws its rows of each whole dropout mask; the block's own arrays
-    must hold the chunk on axis -3 and reach parameters only through
-    ``Tensor._accum_reduced``.  The node returned runs the parts'
-    backwards on the pool: each defers its parameter-gradient rows, which
-    are reduced once each in the serial layout (`numerics._Recorded`), and
-    writes its input gradient into one array laid out as its own, which
-    is how the serial backward lays it out.  The serial block's output,
-    loss, every gradient and the generator state are thus kept bit for
-    bit, for any number of parts.
-    """
-    if count <= 1:
-        return block(x, rng)
-    n = x.data.shape[axis]
-    out = np.empty(x.data.shape[:-1] + (channels,), x.data.dtype)
-    cuts = [n * i // count for i in range(count + 1)]
-    lead = (slice(None),) * (axis % x.data.ndim)
-    chunks = [lead + (slice(a, b),) for a, b in zip(cuts, cuts[1:])]
-    if not _grad_enabled.get():
-        def run(first, last):
-            for i in range(first, last):
-                out[chunks[i]] = block(Tensor(x.data[chunks[i]]), rng).data
-
-        with precision(x.data.dtype):  # chunk views and the output keep x's dtype
-            _deal(run, count)
-            return Tensor(out)
-
-    shared = _Recorded(rng, cuts)
-    parts = [_Part(shared, i) for i in range(count)]
-    with precision(x.data.dtype):
-        ins = [Tensor(x.data[c], requires_grad=x.requires_grad) for c in chunks]
-        node = Tensor(out)
-    outs = [None] * count
-
-    def forward(first, last):
-        for i in range(first, last):
-            outs[i] = parts[i].run(block, ins[i], parts[i])
-            out[chunks[i]] = outs[i].data
-            outs[i].data = out[chunks[i]]  # frees the part's own output array
-
-    def backward(g):
-        grad_in = []
-
-        def run(first, last):
-            for i in range(first, last):
-                parts[i].run(outs[i].backward, g[chunks[i]])
-                outs[i] = None
-                if x.requires_grad:
-                    full = shared.gather("input", chunks[i], ins[i].grad, x.data.shape)
-                    if full is not None:
-                        grad_in.append(full)
-                ins[i] = None
-
-        _deal(run, count)
-        shared.finish()
-        if grad_in:
-            x._accum_owned(grad_in[0])
-
-    _deal(forward, count)
-    if outs[0].requires_grad:
-        node.requires_grad, node._parents, node._backward = True, (x,), backward
-    return node
 
 
 def regression_head(x, w_head, b_head=None) -> Tensor:
@@ -302,11 +227,11 @@ class PoseLifter(Module):
         (an entry counts frames x joints x embed_dim), at least one entry,
         and at least one group per CPU while entries last.  `_in_parts`
         deals the groups, and each runs the stack serially (`_stack` with
-        one chunk a block).  A single sequence,
-        or a batch that is one group, of at least _SPLIT_MIN_ELEMENTS
-        elements instead deals each spatial block's frames and each
-        temporal block's joints, in chunks of about _SPLIT_BLOCK_ELEMENTS
-        elements.  No piece deals again.  Without a tape, batch statistics,
+        one chunk a block).  A single sequence, or a batch that is one
+        group, of at least _DEAL_MIN_ELEMENTS elements instead deals each
+        spatial block's frames and each temporal block's joints, in chunks
+        of about _SPLIT_BLOCK_ELEMENTS elements and at least one per CPU.
+        No piece deals again.  Without a tape, batch statistics,
         dropout draws or a sink, batch norm uses its running statistics and
         norms, products and attention work per row or per leading index, so
         neither way mixes entries, frames or joints: the result equals a
@@ -315,13 +240,13 @@ class PoseLifter(Module):
         OpenBLAS does for the pieces these sizes make, but not for GEMMs of
         a few rows (6 rows at K=512 differ from the same rows among 102).
 
-        A recording, training-mode forward of at least _RECORD_MIN_ELEMENTS
+        A recording, training-mode forward of at least _DEAL_MIN_ELEMENTS
         deals each spatial block's encoder by frames and each temporal
         block by joints, one chunk per CPU of at least two indices; the
         HGAs stay whole, since their batch statistics couple every entry.
         Each part records its own tape, and the step's output, loss,
         gradients, buffers and generator state are the serial step's bit
-        for bit (`_in_parts`, `numerics._Recorded`).  Medians of 30 float32
+        for bit (`numerics._in_parts`).  Medians of 30 float32
         steps, forward, loss, backward and AdamW, in runs of 10 on 1 and 2
         workers (T=27, C=64, depth 3, 2-vCPU Xeon): the deal loses at B=1
         (29k elements, 104 against 91 ms serially), is even at B=2 (59k,
@@ -350,22 +275,39 @@ class PoseLifter(Module):
         A T=243, C=384 sequence (1.59M elements) is a group of one, two in
         flight on two CPUs.
 
-        The block cut-off was measured on a 2-vCPU Xeon in float32 with one
-        BLAS thread, when the same sizes split each large forward kernel by
-        rows: two parts beat one from about 26k output elements for GELU
-        and the C=384 flat GEMM, 100k for layer norm and 200k for a
-        (1,17,8,T,48) attention, and at 1.59M (the T=243 lift's
-        activations) took 0.51-0.58 of the serial time, but 0.95-1.04 where
-        the pool thread stayed on the caller's CPU.  At 2^20 elements a call
-        that gains nothing loses a few percent at most.  Chunks bound what
-        a part allocates at once.  On the T=243 lift (two 10 s perfbench
-        runs each, corrected op time and peak RSS, while the pool thread
-        had a malloc arena of its own, which kept much of what it freed):
-        one chunk per part 0.97-1.00 s and 203.5 MB, chunks of 2^18
+        One cut-off, _DEAL_MIN_ELEMENTS = 2^16, serves both block deals.
+        B=1 float32 no-grad lifts (channels_in 5, depth 2, one BLAS thread,
+        2-vCPU Xeon), serial and dealt in alternating pairs in each of three
+        processes, sizes below the cut-off dealt with it lowered; medians of
+        the second process, and the pairs the deal won in each:
+
+        ========  ========  =========  =========  ===================
+        T, C      elements  serial ms  dealt ms   dealt won
+        ========  ========  =========  =========  ===================
+        27, 64    29k       25.0       25.2       3, 9, 28 of 30
+        27, 128   59k       54.0       55.9       5, 6, 30 of 30
+        61, 64    66k       50.6       53.7       1, 3, 30 of 30
+        16, 256   70k       50.5       57.5       0, 6, 30 of 30
+        11, 384   72k       72.4       55.7       25, 29, 30 of 30
+        81, 64    88k       73.5       51.0       all 20
+        243, 32   132k      197.5      137.7      all 20
+        243, 64   264k      279.5      152.9      all 16
+        243, 128  529k      601.5      318.7      all 12
+        81, 384   529k      576.7      342.0      all 12
+        243, 192  793k      748.7      477.2      all 10
+        ========  ========  =========  =========  ===================
+
+        Every dealt lift equalled the serial one bit for bit.  Up to 70k the
+        outcome is the process's: in six other T=61, C=64 processes that
+        lost, the pool thread had last run on the caller's CPU after every
+        dealt lift.  From 72k the deal won in every process.  Chunks bound
+        what a part allocates at once.  On the T=243 lift (two 10 s
+        perfbench runs each, corrected op time and peak RSS, while the pool
+        thread had a malloc arena of its own, which kept much of what it
+        freed): one chunk per part 0.97-1.00 s and 203.5 MB, chunks of 2^18
         elements (1 MiB in float32, inside the 2 MiB L2 per core) 0.91-0.93
-        s and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16 1.02 s
-        and 173 MB.  The pool now shares the caller's arena
-        (`numerics._one_malloc_arena`).
+        s and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16 1.02 s and
+        173 MB.  The pool now shares the caller's arena (`_one_malloc_arena`).
         """
         x = as_tensor(x)
         cfg = self.config
@@ -387,10 +329,10 @@ class PoseLifter(Module):
                 if groups > 1:
                     return _in_parts(lambda t, r: self._stack(t, training, r, attn_sink, 1, 1),
                                      x, 0, groups, 3, rng)
-            if activations >= _SPLIT_MIN_ELEMENTS:
-                chunks = activations // _SPLIT_BLOCK_ELEMENTS
+            if activations >= _DEAL_MIN_ELEMENTS:
+                chunks = max(numerics._WORKERS, activations // _SPLIT_BLOCK_ELEMENTS)
                 frames, joints = min(cfg.frames, chunks), min(cfg.joints, chunks)
-        elif uniform and training and recording and activations >= _RECORD_MIN_ELEMENTS:
+        elif uniform and training and recording and activations >= _DEAL_MIN_ELEMENTS:
             # Chunks of at least two indices: a chunk's layout then shows where its axis lies.
             frames = min(cfg.frames // 2, numerics._WORKERS)
             joints = min(cfg.joints // 2, numerics._WORKERS)

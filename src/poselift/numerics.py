@@ -7,15 +7,15 @@ to accumulate gradients.  Tensors hold float64 by default or float32
 inside a ``precision`` context, and ``no_grad`` turns recording off; both
 are context variables, so each thread keeps its own setting.
 Computation is numpy, and each kernel runs once on its whole arrays.
-One pool of threads, one per CPU, takes the parts of independent work
-that one caller decides on (`_deal`): ``network.PoseLifter.forward``,
-which deals a no-grad batch's groups of sequences, a single large
-sequence's block chunks, or a training step's encoder chunks, each with
-its own tape.  The parts of such a recorded deal draw each dropout mask
-whole and hand their parameter gradients over unreduced, so that each is
-reduced once as the serial backward reduces it (`_Recorded`).  None of
-this changes the arithmetic, so identical inputs reproduce bit-identical
-results whatever the number of CPUs.
+One pool of threads, one per CPU, takes the chunks `_in_parts` cuts
+from a block's input, as ``network.PoseLifter.forward`` decides: a
+no-grad batch's groups of sequences, a single large sequence's block
+chunks, or a training step's encoder chunks, each with its own tape.
+The parts of such a recorded deal draw each dropout mask whole, and
+`Tensor._accum` hands each parameter gradient they make over
+unreduced, so that each is reduced once as the serial backward reduces
+it (`_Recorded`).  None of this changes the arithmetic, so identical
+inputs reproduce bit-identical results whatever the number of CPUs.
 
 The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
@@ -133,28 +133,16 @@ class Tensor:
             out._backward = None
         return out
 
-    def _accum(self, g: np.ndarray) -> None:
-        # Copy on first write: `g` may be a view into another node's grad.
-        if self.requires_grad:
-            if self.grad is None:
-                self.grad = np.array(g)
-            else:
-                self.grad += g
-
-    def _accum_owned(self, g: np.ndarray) -> None:
-        # Like _accum, for gradients the caller freshly allocated.
-        if self.requires_grad:
-            if self.grad is None:
-                self.grad = g
-            else:
-                self.grad += g
-
-    def _accum_reduced(self, g: np.ndarray, owned: bool = False) -> None:
-        """Accumulate `g` summed down to this tensor's shape (`_unbroadcast`);
-        `owned` says the caller freshly allocated `g`.  A pair (a, b) for `g`
-        stands for the batched product a @ b.  In the backward of a part of a
-        recorded deal a Parameter's gradient is instead handed, unreduced, to
-        the deal (`_Part.defer`), which forms such a product in its rows."""
+    def _accum(self, g, owned: bool = False) -> None:
+        """Add `g`, summed down to this tensor's shape (`_unbroadcast`), to
+        ``grad``; `owned` says the caller freshly allocated `g`, which is
+        otherwise copied on first write (it may be a view into another
+        node's grad).  A pair (a, b) for `g` stands for the batched product
+        a @ b.  In the backward of a part of a recorded deal a Parameter's
+        gradient is instead handed, unreduced, to the deal (`_Part.defer`),
+        which forms such a product in its rows."""
+        if not self.requires_grad:
+            return
         if type(self) is Parameter:
             part = _part.get()
             if part is not None:
@@ -162,8 +150,12 @@ class Tensor:
                 return
         if isinstance(g, tuple):
             g, owned = np.matmul(*g), True
-        gb = _unbroadcast(g, self.data.shape)
-        (self._accum_owned if owned or gb is not g else self._accum)(gb)
+        if g.shape != self.data.shape:
+            g, owned = _unbroadcast(g, self.data.shape), True
+        if self.grad is None:
+            self.grad = g if owned else np.array(g)
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of this tensor w.r.t. every ancestor.
@@ -222,10 +214,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def bw(g):
-            if self.requires_grad:
-                self._accum_reduced(g)
-            if other.requires_grad:
-                other._accum_reduced(g)
+            self._accum(g)
+            other._accum(g)
 
         return Tensor._node(out_data, (self, other), bw)
 
@@ -233,7 +223,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def bw(g):
-            self._accum_owned(-g)
+            self._accum(-g, owned=True)
 
         return Tensor._node(-self.data, (self,), bw)
 
@@ -246,9 +236,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accum_reduced(g * other.data, owned=True)
+                self._accum(g * other.data, owned=True)
             if other.requires_grad:
-                other._accum_reduced(g * self.data, owned=True)
+                other._accum(g * self.data, owned=True)
 
         return Tensor._node(out_data, (self, other), bw)
 
@@ -265,9 +255,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accum_reduced(g @ np.swapaxes(b, -1, -2), owned=True)
+                self._accum(g @ np.swapaxes(b, -1, -2), owned=True)
             if other.requires_grad:
-                other._accum_reduced(np.swapaxes(a, -1, -2) @ g, owned=True)
+                other._accum(np.swapaxes(a, -1, -2) @ g, owned=True)
 
         return Tensor._node(out_data, (self, other), bw)
 
@@ -311,7 +301,7 @@ class Tensor:
         def bw(g):
             full = np.zeros_like(self.data)
             full[idx] = g
-            self._accum_owned(full)
+            self._accum(full, owned=True)
 
         return Tensor._node(out_data, (self,), bw)
 
@@ -407,7 +397,7 @@ def l2norm_last(x) -> Tensor:
 
     def bw(g):
         inv = np.divide(1.0, out_data, out=np.zeros_like(out_data), where=out_data > 0)
-        x._accum_owned((g * inv)[..., None] * x.data)
+        x._accum((g * inv)[..., None] * x.data, owned=True)
 
     return Tensor._node(out_data, (x,), bw)
 
@@ -457,9 +447,9 @@ def _deal(run, count: int) -> None:
     (``np.errstate``), `no_grad` and `precision` hold in every part and
     what a part sets there stays in that part.  The call returns, or
     raises the first part's exception, only once every part has finished.
-    Its one caller is ``network._in_parts``, for a forward's parts and for
-    the backward of a recorded deal's parts, which ``Tensor.backward``
-    reaches on the caller's thread.  Parts never deal again: a pool thread
+    Its one caller is `_in_parts`, for a forward's parts and for the
+    backward of a recorded deal's parts, which ``Tensor.backward`` reaches
+    on the caller's thread.  Parts never deal again: a pool thread
     that waited on its own pool would wait forever.
     """
     parts = min(_WORKERS, count)
@@ -490,7 +480,7 @@ def _empty_in_layout(a: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class _Recorded:
-    """What the parts of one recorded deal share (``network._in_parts``).
+    """What the parts of one recorded deal share (`_in_parts`).
 
     Such a deal runs a block on chunks of its input, each part recording
     its own tape on its own thread, and the block's own arrays hold a
@@ -566,7 +556,7 @@ class _Recorded:
     def finish(self) -> None:
         """Add every reduced parameter gradient, in contribution order."""
         for _, p, g in sorted(self.reduced, key=lambda r: r[0]):
-            p._accum_owned(g)
+            p._accum(g, owned=True)
 
 
 class _Part:
@@ -630,6 +620,70 @@ class _Part:
             _part.reset(token)
 
 
+def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) -> Tensor:
+    """``block(x, rng)``, computed in `count` chunks of `x` on `axis`, for a
+    `block` that maps each index of `x` on `axis` alone to an output of x's
+    shape, with `channels` on the last axis, and x's dtype.  The chunks are
+    balanced cuts and views of `x`; `_deal` hands them out in contiguous
+    runs, one part per CPU, and each chunk writes its output into one
+    preallocated array.  No part deals again.
+
+    A recording deal, of at most one chunk per CPU, gives each chunk its
+    own tape and, for `rng`, a `_Part` that draws its rows of each whole
+    dropout mask.  The block's own arrays, and so every Parameter gradient
+    a part makes (`Tensor._accum`), must hold the chunk on axis -3; one
+    that does not raises ShapeError.  The node returned runs the parts'
+    backwards on the pool: each defers its parameter-gradient rows, which
+    are reduced once each in the serial layout (`_Recorded`), and writes
+    its input gradient into one array laid out as its own, which is how
+    the serial backward lays it out.  The serial block's output, loss,
+    every gradient and the generator state are thus kept bit for bit, for
+    any number of parts.
+    """
+    if count <= 1:
+        return block(x, rng)
+    n = x.data.shape[axis]
+    out = np.empty(x.data.shape[:-1] + (channels,), x.data.dtype)
+    cuts = [n * i // count for i in range(count + 1)]
+    lead = (slice(None),) * (axis % x.data.ndim)
+    chunks = [lead + (slice(a, b),) for a, b in zip(cuts, cuts[1:])]
+    shared = _Recorded(rng, cuts) if _grad_enabled.get() else None
+    parts = [_Part(shared, i) for i in range(count)] if shared else None
+    with precision(x.data.dtype):  # chunk views and the output keep x's dtype
+        ins = [Tensor(x.data[c], requires_grad=x.requires_grad) for c in chunks]
+        node = Tensor(out)
+    outs = [None] * count
+
+    def forward(first, last):
+        for i in range(first, last):
+            outs[i] = parts[i].run(block, ins[i], parts[i]) if parts else block(ins[i], rng)
+            out[chunks[i]] = outs[i].data
+            outs[i].data = out[chunks[i]]  # frees the part's own output array
+
+    def backward(g):
+        grad_in = []
+
+        def run(first, last):
+            for i in range(first, last):
+                parts[i].run(outs[i].backward, g[chunks[i]])
+                outs[i] = None
+                if x.requires_grad:
+                    full = shared.gather("input", chunks[i], ins[i].grad, x.data.shape)
+                    if full is not None:
+                        grad_in.append(full)
+                ins[i] = None
+
+        _deal(run, count)
+        shared.finish()
+        if grad_in:
+            x._accum(grad_in[0], owned=True)
+
+    _deal(forward, count)
+    if outs[0].requires_grad:
+        node.requires_grad, node._parents, node._backward = True, (x,), backward
+    return node
+
+
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Initial weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(fan_in)
@@ -686,15 +740,15 @@ def _linear_backward(g: np.ndarray, xs: tuple, w: Tensor, b) -> None:
     if any(t.requires_grad for t in xs):
         gx = g @ w.data.T
         if len(xs) == 1:
-            xs[0]._accum_owned(gx)
+            xs[0]._accum(gx, owned=True)
         else:
             offsets = np.cumsum([t.data.shape[-1] for t in xs])[:-1]
             for t, piece in zip(xs, np.split(gx, offsets, axis=-1)):
                 t._accum(piece)
     if w.requires_grad:
-        w._accum_reduced((np.swapaxes(_joined(xs), -1, -2), g))
-    if b is not None and b.requires_grad:
-        b._accum_reduced(g)
+        w._accum((np.swapaxes(_joined(xs), -1, -2), g))
+    if b is not None:
+        b._accum(g)
 
 
 def _head_view(a: np.ndarray, heads: int) -> np.ndarray:
@@ -808,7 +862,7 @@ def softmax_rows(x) -> Tensor:
     _softmax_inplace(out_data)
 
     def bw(g):
-        x._accum_owned(_softmax_grad_inplace(g.copy(), out_data))
+        x._accum(_softmax_grad_inplace(g.copy(), out_data), owned=True)
 
     return Tensor._node(out_data, (x,), bw)
 
@@ -980,7 +1034,7 @@ def scaled_dot_attention(q, k, v, attn_sink: list | None = None,
         # V first: with K = V (hga.npsc) its gradient is dV + dK in that order.
         for t, gt in ((v, gv), (q, gq), (k, gk)):
             if gt is not None:
-                t._accum_reduced(gt, owned=True)
+                t._accum(gt, owned=True)
 
     return Tensor._node(out_data, (q, k, v), bw)
 
@@ -1047,15 +1101,15 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None =
     def bw(g):
         xhat = x.data - centre
         xhat *= inv
-        if beta is not None and beta.requires_grad:
-            beta._accum_reduced(g)
+        if beta is not None:
+            beta._accum(g)
         if gamma is not None and gamma.requires_grad:
-            gamma._accum_reduced(g * xhat, owned=True)
+            gamma._accum(g * xhat, owned=True)
         if not x.requires_grad:
             return
         h = g if gamma is None else g * gamma.data
         if stats is not None:
-            x._accum_owned(h * inv)
+            x._accum(h * inv, owned=True)
             return
         gm = h.mean(axis=axes, keepdims=True)
         gym = (h * xhat).mean(axis=axes, keepdims=True)
@@ -1063,7 +1117,7 @@ def _normalize(x: Tensor, gamma, beta, axes: tuple | None, stats: tuple | None =
         xhat *= gym
         gx -= xhat
         gx *= inv
-        x._accum_owned(gx)
+        x._accum(gx, owned=True)
 
     return Tensor._node(out_data, parents, bw), mu, var
 
@@ -1138,10 +1192,10 @@ def gelu(x, w=None, b=None, residual=None) -> Tensor:
         np.add(cdf, residual.data, out=out)
 
     def bw(g):
-        if residual is not None and residual.requires_grad:
+        if residual is not None:
             residual._accum(g)
         if w is None:
-            x._accum_owned(g * d)
+            x._accum(g * d, owned=True)
         else:
             _linear_backward(g * d, (x,), w, b)
 
@@ -1183,7 +1237,7 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
     parents = tuple(t for t in (residual, x, w, b) if t is not None)
 
     def bw(g):
-        if residual is not None and residual.requires_grad:
+        if residual is not None:
             residual._accum(g)
         if drop:
             # C order whatever g's layout: the bias gradients upstream sum this
@@ -1193,7 +1247,7 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
         if w is not None:
             _linear_backward(g, (x,), w, b)
         else:
-            (x._accum_owned if drop else x._accum)(g)
+            x._accum(g, owned=drop)
 
     return Tensor._node(y, parents, bw)
 

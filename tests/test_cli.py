@@ -396,6 +396,7 @@ MALFORMED_INPUTS = {
     "gen-data count 0": (lambda p: ["gen-data", "--out", p / "g", "--count", 0], 2, "--count"),
     "gen-data negative seed": (lambda p: ["gen-data", "--out", p / "g", "--seed", -1], 2,
                                "--seed"),
+    "gen-data frames 0": (lambda p: ["gen-data", "--out", p / "g", "--frames", 0], 2, "frames"),
     "gen-data fps nan": (lambda p: ["gen-data", "--out", p / "g", "--fps", "nan"], 2, "fps"),
     "gen-data fps inf": (lambda p: ["gen-data", "--out", p / "g", "--fps", "inf"], 2, "fps"),
     "negative lambda_t": (lambda p: ["train", "--config", _config_doc(p, {"lambda_t": -5.0})], 2,
@@ -426,5 +427,6 @@ def test_malformed_input_exit_codes(tmp_path, argv, exit_code, named):
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert named in result.stderr
     assert result.stdout == ""  # nothing is printed before the input is refused
-    if argv[0] == "train":  # a refused run leaves no run directory behind
-        assert not (tmp_path / "run").exists()
+    made = {"train": "run", "gen-data": "g"}.get(argv[0])
+    if made:  # a refused run leaves no run or data directory behind
+        assert not (tmp_path / made).exists()

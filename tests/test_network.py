@@ -286,7 +286,7 @@ class TestPoseLifter:
         # 26.6 MB.  Dealt to two parts (tracemalloc follows every thread),
         # deferred gradient rows that pile up would show here.
         if dealt:
-            monkeypatch.setattr(network, "_RECORD_MIN_ELEMENTS", 0)
+            monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
             monkeypatch.setattr(numerics, "_WORKERS", 2)
         counts = TestParallelForward.counting_deals(monkeypatch)
         cfg = ModelConfig(frames=27, channels_in=5, embed_dim=32, depth=1)
@@ -461,13 +461,13 @@ class TestParallelForward:
     @staticmethod
     def counting_deals(monkeypatch):
         """Record the piece count of every deal `PoseLifter.forward` makes."""
-        counts, deal = [], network._deal
+        counts, deal = [], numerics._deal
 
         def counted(run, count):
             counts.append(count)
             deal(run, count)
 
-        monkeypatch.setattr(network, "_deal", counted)
+        monkeypatch.setattr(numerics, "_deal", counted)
         return counts
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -482,7 +482,7 @@ class TestParallelForward:
         serial = self.lifted(dtype, pre, main, x)
         counts = self.counting_deals(monkeypatch)
         assert not counts
-        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
         monkeypatch.setattr(numerics, "_WORKERS", workers)
         if chunks == "ragged":
             # Five chunks a block: frames 0-1, 2-3, 4-6, 7-8 and 9-11, or
@@ -497,6 +497,31 @@ class TestParallelForward:
         assert set(counts) == expected
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frames, embed_dim", [(16, 256), (61, 64)])
+    def test_mid_size_sequence_deals_at_the_default_cut_off(self, monkeypatch, dtype, frames,
+                                                            embed_dim):
+        # 69,632 and 66,368 activation elements, between the deal cut-off
+        # (2^16) and a chunk (2^18): one chunk per CPU.  At C=256 every
+        # encoder weight takes `linear`'s flat GEMM, whose rows each chunk
+        # computes in a shorter GEMM.
+        with precision(dtype):
+            cfg = ModelConfig(frames=frames, channels_in=2, embed_dim=embed_dim, depth=1)
+            model = PoseLifter(cfg, human36m_skeleton(), seed=99)
+        x = np.random.default_rng(100).normal(size=(1, frames, 17, 2)).astype(dtype)
+        assert 1 << 16 <= frames * 17 * embed_dim < 1 << 18
+        counts = self.counting_deals(monkeypatch)
+        lifts = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            with precision(dtype), no_grad():
+                lifts.append(model.forward(x).data)
+            # The spatial block's frames, then the temporal block's joints.
+            assert counts == ([] if workers == 1 else [workers] * 2)
+            counts.clear()
+        for got in lifts[1:]:
+            self.assert_bitwise([got], lifts[:1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("embed_dim", [16, 256])
     @pytest.mark.parametrize("per_group", [1, 2, 3])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -508,7 +533,7 @@ class TestParallelForward:
         counts = self.counting_deals(monkeypatch)
         assert not counts
         # Every block would be dealt in chunks, were groups to deal.
-        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
         monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(network, "_GROUP_ELEMENTS", per_group * self.FRAMES * 17 * embed_dim)
         monkeypatch.setattr(numerics, "_WORKERS", workers)
@@ -524,9 +549,8 @@ class TestParallelForward:
     def test_other_forwards_stay_serial(self, monkeypatch, call):
         # Training forwards that record are dealt (TestRecordedDeal); these are not.
         pre, _, x2d = self.pipeline(np.float32, 16)
-        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
         monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
-        monkeypatch.setattr(network, "_RECORD_MIN_ELEMENTS", 0)
         monkeypatch.setattr(numerics, "_WORKERS", 2)
         counts = self.counting_deals(monkeypatch)
         rng = np.random.default_rng(92)
@@ -556,7 +580,7 @@ class TestParallelForward:
             serial = pre.forward(x).data
         with no_grad():
             unsplit = pre.forward(x).data
-        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
         monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(numerics, "_WORKERS", 2)
         counts = self.counting_deals(monkeypatch)
@@ -580,7 +604,7 @@ class TestRecordedDeal:
         """(every array one step makes, generator state after it, the deals
         made): output, loss, parameter gradients, then parameters and
         buffers after the backward and after two AdamW steps."""
-        monkeypatch.setattr(network, "_RECORD_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
         monkeypatch.setattr(numerics, "_WORKERS", workers)
         counts = TestParallelForward.counting_deals(monkeypatch)
         with precision(dtype):
@@ -642,7 +666,7 @@ class TestRecordedDeal:
                 block = PoseLifter(cfg, human36m_skeleton(), seed=97).blocks[0][1]
                 rng = np.random.default_rng(98)
                 x = Tensor(rng.normal(size=(3, self.FRAMES, 17, 16)), requires_grad=True)
-                out = network._in_parts(
+                out = numerics._in_parts(
                     lambda t, r: temporal_block_forward(t, block, True, r, 0.25),
                     x, -2, workers, 16, rng)
                 seed = rng.normal(size=out.data.shape).astype(np.float32)
@@ -655,9 +679,23 @@ class TestRecordedDeal:
             TestParallelForward.assert_bitwise(got, grads[0])
         assert x.grad.flags.c_contiguous == (seed_layout == "C order")
 
+    def test_parameter_reached_by_a_non_reducing_node_is_refused(self, monkeypatch):
+        # Every Parameter gradient a part makes goes to the deal unreduced.
+        # Through a reshape, p's (C,) gradient holds no chunk to gather, so
+        # the deal refuses it rather than let the parts add their sums to
+        # p.grad in turn, in another order than the serial backward's.
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        rng = np.random.default_rng(101)
+        p = Parameter(rng.normal(size=16), "p")
+        x = Tensor(rng.normal(size=(2, self.FRAMES, 17, 16)), requires_grad=True)
+        out = numerics._in_parts(lambda t, r: t * p.reshape((1, 16)), x, -3, 2, 16)
+        with pytest.raises(ShapeError, match="chunk on axis -3"):
+            out.backward()
+        assert p.grad is None and x.grad is None
+
     def test_failing_part_raises_once_every_part_finished(self, monkeypatch):
         monkeypatch.setattr(numerics, "_WORKERS", 2)
-        finished, deal = [], network._deal
+        finished, deal = [], numerics._deal
 
         def recorded(run, count):
             def part(first, last):
@@ -667,13 +705,13 @@ class TestRecordedDeal:
                     finished.append(first)
             deal(part, count)
 
-        monkeypatch.setattr(network, "_deal", recorded)
+        monkeypatch.setattr(numerics, "_deal", recorded)
         with precision(np.float32):
             cfg = ModelConfig(frames=self.FRAMES, channels_in=2, embed_dim=16, depth=1)
             block = PoseLifter(cfg, human36m_skeleton(), seed=95).blocks[0][1]
             rng = np.random.default_rng(96)
             x = Tensor(rng.normal(size=(2, self.FRAMES, 17, 16)), requires_grad=True)
-            out = network._in_parts(
+            out = numerics._in_parts(
                 lambda t, r: temporal_block_forward(t, block, True, r, 0.25), x, -2, 2, 16, rng)
             # Joints 8-16 are the pool's part: its first dropout backward overflows.
             seed = np.ones(out.data.shape, np.float32)

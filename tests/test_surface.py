@@ -162,9 +162,11 @@ def test_every_private_module_name_is_referenced():
 
 
 def test_only_the_model_deals_work_to_the_pool():
-    # One module decides how a lift uses the CPUs: `network` is the only
-    # program code besides `numerics` itself that reads `numerics._deal`.
-    readers = set()
+    # One module decides how a lift uses the CPUs and one keeps the deal's
+    # protocol: `network` is the only program code that reads
+    # `numerics._in_parts`, and none besides `numerics` itself reads
+    # `_deal`, `_Recorded` or `_Part`.
+    readers = {name: set() for name in ("_in_parts", "_deal", "_Recorded", "_Part")}
     for directory in ("src", "perfbench", "demos"):
         for path in (ROOT / directory).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -176,9 +178,10 @@ def test_only_the_model_deals_work_to_the_pool():
                     names = [node.id]
                 else:
                     continue
-                if "_deal" in names:
-                    readers.add(path.relative_to(ROOT).as_posix())
-    assert readers <= {"src/poselift/numerics.py", "src/poselift/network.py"}, readers
+                for name in readers.keys() & set(names):
+                    readers[name].add(path.relative_to(ROOT).as_posix())
+    assert readers.pop("_in_parts") <= {"src/poselift/network.py"}, readers
+    assert all(r <= {"src/poselift/numerics.py"} for r in readers.values()), readers
 
 
 def test_only_numerics_starts_threads():

@@ -451,9 +451,9 @@ class TestParallelScoring:
         # one-thread pool would wait forever.
         serial = self.evaluated(stages["main"], monkeypatch, 1)
         monkeypatch.setattr(network, "_GROUP_ELEMENTS", group_elements)
-        monkeypatch.setattr(network, "_SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
         monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 64)
-        running, counts, deal = [], [], network._deal
+        running, counts, deal = [], [], numerics._deal
 
         def counted(run, count):
             assert not running, "a deal started while another was running"
@@ -464,7 +464,7 @@ class TestParallelScoring:
             finally:
                 running.pop()
 
-        monkeypatch.setattr(network, "_deal", counted)
+        monkeypatch.setattr(numerics, "_deal", counted)
         assert self.evaluated(stages["main"], monkeypatch, 2) == serial
         # Two stage forwards, each dealing its five sequences in groups.
         assert counts == [5 if group_elements == 1 else 2] * 2
