@@ -18,8 +18,8 @@ from .errors import ConfigError, ShapeError
 # softmax_rows is no longer called here; the name stays bound because the
 # per-layer tracer (perfbench/layers.py) wraps hga.softmax_rows.
 from .numerics import (Module, Parameter, Tensor, as_tensor, batch_norm, gelu,  # noqa: F401
-                       layer_norm, linear, precision, scaled_dot_attention,
-                       softmax_rows, uniform_init)
+                       layer_norm, linear, scaled_dot_attention, softmax_rows,
+                       uniform_init)
 
 
 def default_head_count(channels: int) -> int:
@@ -69,13 +69,25 @@ def project_ab(x_in, params: HgaParams) -> tuple:
             linear(x_in, params.w_b, heads=params.heads))
 
 
-def aggregate_hybrid(x_b_h, adj_total) -> Tensor:
-    """Mix joint features through the combined adjacency, per frame."""
-    adj_total = as_tensor(adj_total)
-    x_b_h = as_tensor(x_b_h)
-    if adj_total.data.shape[-1] != x_b_h.data.shape[-2]:
-        raise ShapeError(f"adjacency {adj_total.data.shape} vs features {x_b_h.data.shape}")
-    return adj_total @ x_b_h
+def aggregate_hybrid(x_b_h, adj, skeletal_adj) -> Tensor:
+    """Mix joint features through the adjacency `adj` plus the fixed
+    `skeletal_adj`, taken in adj's dtype, per frame, as one node.
+
+    The backward hands `adj` its gradient as the unreduced product pair
+    (g, x_b^T), as `linear` hands its weight, so a dealt part defers its
+    rows like any weight's (`numerics._Recorded`).
+    """
+    adj, x_b_h = as_tensor(adj), as_tensor(x_b_h)
+    if adj.data.shape[-1] != x_b_h.data.shape[-2]:
+        raise ShapeError(f"adjacency {adj.data.shape} vs features {x_b_h.data.shape}")
+    total = adj.data + np.asarray(skeletal_adj, adj.data.dtype)
+
+    def bw(g):
+        adj._accum((g, np.swapaxes(x_b_h.data, -1, -2)))
+        if x_b_h.requires_grad:
+            x_b_h._accum(np.swapaxes(total, -1, -2) @ g, owned=True)
+
+    return Tensor._node(total @ x_b_h.data, (adj, x_b_h), bw)
 
 
 def hybrid_cross_attention(x_a_h, x_hyb_h, params: HgaParams,
@@ -102,8 +114,23 @@ def fuse_update(x_a_h, x_hyb_att, x_joint_h, w_upd) -> Tensor:
     return linear((x_a_h, x_hyb_att, x_joint_h), w_upd, merge_heads=True)
 
 
+def hga_core(x_in, params: HgaParams, skeletal_adj, attn_sink: list | None) -> Tensor:
+    """The module between its norms, from the normalized input to the merged
+    (..., N, C) update: two projections, per-subspace hybrid attention and
+    similarity, fuse, merge.  Each frame's output depends on that frame's
+    input alone."""
+    a, b = project_ab(x_in, params)
+    hyb_att = hybrid_cross_attention(a, aggregate_hybrid(b, params.learnable_adj, skeletal_adj),
+                                     params, attn_sink=attn_sink)
+    joint = npsc(a, b, attn_sink=attn_sink)
+    del b
+    fused = fuse_update(a, hyb_att, joint, params.w_upd)
+    del a, hyb_att, joint
+    return linear(fused, params.w_merge)
+
+
 def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
-                attn_sink: list | None = None) -> Tensor:
+                attn_sink: list | None = None, per_frame=None) -> Tensor:
     """Full module: LN, two projections, per-subspace hybrid attention and
     similarity, fuse, merge, BN, GELU, residual onto the normalized input.
 
@@ -111,25 +138,20 @@ def hga_forward(x, params: HgaParams, skeletal_adj, training: bool = False,
     running the per-head operations above on each contiguous channel chunk.
     Each intermediate is dropped once its last consumer has run, so a
     no-grad call (whose nodes keep no parents) frees it there.
+
+    Only the batch norm mixes frames (its training statistics couple every
+    entry).  `per_frame`, if given, computes the per-frame core
+    (`hga_core`) as ``per_frame(core, x_in)``: the network deals it by
+    frames (`network.spatial_block_forward`), while the layer norm, the
+    batch norm and the GELU with its residual run on the whole array.
     """
     x = as_tensor(x)
     if x.data.shape[-1] != params.channels or x.data.shape[-2] != params.joints:
         raise ShapeError(f"input {x.data.shape} vs module ({params.joints} joints, "
                          f"{params.channels} channels)")
     x_in = layer_norm(x, params.ln_gamma, params.ln_beta)
-    a, b = project_ab(x_in, params)
-    # The skeletal prior takes the module's dtype, not the context's.
-    with precision(params.learnable_adj.data.dtype):
-        adj_total = params.learnable_adj + Tensor(skeletal_adj)
-    hyb_att = hybrid_cross_attention(a, aggregate_hybrid(b, adj_total), params,
-                                     attn_sink=attn_sink)
-    del adj_total
-    joint = npsc(a, b, attn_sink=attn_sink)
-    del b
-    fused = fuse_update(a, hyb_att, joint, params.w_upd)
-    del a, hyb_att, joint
-    out = linear(fused, params.w_merge)
-    del fused
+    core = lambda t: hga_core(t, params, skeletal_adj, attn_sink)
+    out = core(x_in) if per_frame is None else per_frame(core, x_in)
     out = batch_norm(out, params.bn_gamma, params.bn_beta,
                      params.bn_mean, params.bn_var, training=training)
     return gelu(out, residual=x_in)

@@ -152,10 +152,14 @@ def embed_input(x, w_emb, b_emb=None, pe_spatial=None) -> Tensor:
 def spatial_block_forward(x, block: SpatialBlock, skeletal_adj, training: bool = False,
                           rng=None, drop_rate: float = 0.0, attn_sink=None,
                           frames: int = 1) -> Tensor:
-    """Two HGAs, then the encoder over joints, its frames in `frames`
-    chunks (`_in_parts`)."""
-    x = hga_forward(x, block.hga1, skeletal_adj, training=training, attn_sink=attn_sink)
-    x = hga_forward(x, block.hga2, skeletal_adj, training=training, attn_sink=attn_sink)
+    """Two HGAs, then the encoder over joints; each HGA's per-frame core
+    and the encoder run their frames in `frames` chunks (`_in_parts`)."""
+    def per_frame(core, t):
+        return _in_parts(lambda c, r: core(c), t, -3, frames, t.data.shape[-1])
+
+    for hga in (block.hga1, block.hga2):
+        x = hga_forward(x, hga, skeletal_adj, training=training, attn_sink=attn_sink,
+                        per_frame=per_frame)
     return _in_parts(lambda t, r: encoder_forward(t, block.ste, training, r, drop_rate),
                      x, -3, frames, x.data.shape[-1], rng)
 
@@ -241,19 +245,31 @@ class PoseLifter(Module):
         a few rows (6 rows at K=512 differ from the same rows among 102).
 
         A recording, training-mode forward of at least _DEAL_MIN_ELEMENTS
-        deals each spatial block's encoder by frames and each temporal
-        block by joints, one chunk per CPU of at least two indices; the
-        HGAs stay whole, since their batch statistics couple every entry.
-        Each part records its own tape, and the step's output, loss,
-        gradients, buffers and generator state are the serial step's bit
-        for bit (`numerics._in_parts`).  Medians of 30 float32
-        steps, forward, loss, backward and AdamW, in runs of 10 on 1 and 2
-        workers (T=27, C=64, depth 3, 2-vCPU Xeon): the deal loses at B=1
-        (29k elements, 104 against 91 ms serially), is even at B=2 (59k,
-        166-180 against 169-170 ms) and gains from B=3 (88k, 263 against
-        273 ms; B=4 298 against 330 ms; B=8 617 against 724 ms).  Dealing
-        the STEs as well as the temporal blocks gains a little: 598 against
-        616 ms a B=8 step (medians of 40 steps, in runs of 10).
+        deals each spatial block's HGA cores and encoder by frames and each
+        temporal block by joints, one chunk per CPU of at least two
+        indices.  An HGA's batch statistics couple every entry, so only
+        its per-frame core is dealt (`hga.hga_core`), between its layer
+        norm and its batch norm, which run whole.  Each part records its
+        own tape, and the step's output, loss, gradients, buffers and
+        generator state are the serial step's bit for bit
+        (`numerics._in_parts`).  Float32 steps (forward, loss, backward
+        and AdamW; T=27, C=64, depth 3, dropout 0.25, one BLAS thread,
+        2-vCPU Xeon), serial on 1 worker and dealt on 2 in alternating runs
+        of 10, the cut-off lowered for B=1 and 2; medians of 30 and of 50
+        steps in two processes, the host's speed drifting between them:
+
+        ===  ========  =========  =========  ============
+        B    elements  serial ms  dealt ms   dealt/serial
+        ===  ========  =========  =========  ============
+        1    29k       118, 143   136, 163   1.16, 1.13
+        2    59k       180, 226   184, 214   1.02, 0.95
+        3    88k       279, 308   241, 287   0.86, 0.93
+        4    118k      361, 422   323, 390   0.89, 0.93
+        8    235k      765, 958   591, 738   0.77, 0.77
+        ===  ========  =========  =========  ============
+
+        With the HGAs whole, the same runs read 377 against 351 ms at B=4
+        and 633 against 769 ms (0.82) at B=8.
 
         Grouping saves per-call overhead: a T=27 sequence is thousands of
         small numpy calls.  perfbench eval-t27 (32 sequences, C=64,
@@ -341,15 +357,15 @@ class PoseLifter(Module):
     def _stack(self, x: Tensor, training: bool, rng, attn_sink, frames: int,
                joints: int) -> Tensor:
         """Embedding, blocks and head, each block's frames and joints in
-        `frames` and `joints` chunks; in training, the spatial block's
-        encoder alone is cut."""
+        `frames` and `joints` chunks; in training, the spatial block's HGA
+        cores and encoder are cut, not the block."""
         drop = self.config.dropout
         e = embed_input(x, self.w_emb, self.b_emb, self.pe_spatial)
         channels = e.data.shape[-1]
         adj = self.hybrid.skeletal
         for l, (sb, tb) in enumerate(self.blocks):
             pe = self.pe_temporal if l == 0 else None
-            if training:  # batch statistics couple every entry in the HGAs
+            if training:  # the HGAs' batch statistics couple every entry
                 e = spatial_block_forward(e, sb, adj, training, rng, drop, attn_sink, frames)
             else:
                 e = _in_parts(lambda t, r: spatial_block_forward(t, sb, adj, training, r, drop,

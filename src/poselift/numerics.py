@@ -10,12 +10,14 @@ Computation is numpy, and each kernel runs once on its whole arrays.
 One pool of threads, one per CPU, takes the chunks `_in_parts` cuts
 from a block's input, as ``network.PoseLifter.forward`` decides: a
 no-grad batch's groups of sequences, a single large sequence's block
-chunks, or a training step's encoder chunks, each with its own tape.
-The parts of such a recorded deal draw each dropout mask whole, and
-`Tensor._accum` hands each parameter gradient they make over
-unreduced, so that each is reduced once as the serial backward reduces
-it (`_Recorded`).  None of this changes the arithmetic, so identical
-inputs reproduce bit-identical results whatever the number of CPUs.
+chunks, or a training step's HGA-core and encoder chunks, each with its
+own tape.  The parts of such a recorded deal hold their chunk on front
+axis ``ndim - 3`` of the block's arrays (``ndim`` is the rank of the
+block's input), draw each dropout mask whole, and have `Tensor._accum`
+hand each parameter gradient they make over unreduced, so that each is
+reduced once as the serial backward reduces it (`_Recorded`).  None of
+this changes the arithmetic, so identical inputs reproduce bit-identical
+results whatever the number of CPUs.
 
 The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
@@ -161,10 +163,14 @@ class Tensor:
         """Accumulate gradients of this tensor w.r.t. every ancestor.
 
         ``seed`` defaults to ones (i.e. differentiate the sum of entries);
-        pass an array of this tensor's shape to seed differently.
+        pass an array of this tensor's shape to seed differently.  A seed
+        of another shape raises ShapeError.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
+        seed = np.ones_like(self.data) if seed is None else np.asarray(seed, self.data.dtype)
+        if seed.shape != self.data.shape:
+            raise ShapeError(f"backward seed {seed.shape} vs tensor {self.data.shape}")
         # Iterative post-order over the DAG; training graphs are deeper
         # than the default recursion limit.
         order: list[Tensor] = []
@@ -182,9 +188,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        if seed is None:
-            seed = np.ones_like(self.data)
-        self._accum(np.asarray(seed, dtype=self.data.dtype))
+        self._accum(seed)
         while order:  # popped, so that a node is freed once propagated
             node = order.pop()
             if node._backward is not None and node.grad is not None:
@@ -484,8 +488,10 @@ class _Recorded:
 
     Such a deal runs a block on chunks of its input, each part recording
     its own tape on its own thread, and the block's own arrays hold a
-    part's chunk on axis -3, cut at `cuts`.  Dropout draws and parameter
-    gradients then come out as one serial block makes them:
+    part's chunk on front axis `axis`, cut at `cuts`: axis 1 of a batch's
+    (B, T, N, C) encoder arrays and (B, T, h, N, d) head-split HGA arrays
+    alike.  Dropout draws and parameter gradients then come out as one
+    serial block makes them:
 
     - the parts' k-th dropout draw is one ``rng.random`` draw of the whole
       mask, made by whichever part reaches it first, so in the serial
@@ -507,8 +513,8 @@ class _Recorded:
     most _WORKERS parts.
     """
 
-    def __init__(self, rng, cuts: list):
-        self.rng, self.cuts = rng, cuts
+    def __init__(self, rng, cuts: list, axis: int):
+        self.rng, self.cuts, self.axis = rng, cuts, axis
         self.parts = len(cuts) - 1
         if self.parts > _WORKERS:
             raise ValueError(f"a recorded deal of {self.parts} parts on {_WORKERS} CPUs")
@@ -561,19 +567,22 @@ class _Recorded:
 
 class _Part:
     """Part `i` of a recorded deal (`_Recorded`): the source of its dropout
-    draws, and what runs its forward and backward."""
+    draws, and what runs its forward and backward.  Its `rows` select its
+    chunk, on the deal's front axis, of a whole array of the block's."""
 
     def __init__(self, shared: _Recorded, i: int):
         self.shared = shared
-        self.rows = (Ellipsis, slice(shared.cuts[i], shared.cuts[i + 1]), slice(None), slice(None))
+        self.rows = (slice(None),) * shared.axis + (slice(shared.cuts[i], shared.cuts[i + 1]),)
         self.size = shared.cuts[i + 1] - shared.cuts[i]
         self.draws = 0
         self.contributions = {}
 
     def _whole(self, shape: tuple) -> tuple:
-        if len(shape) < 3 or shape[-3] != self.size:
-            raise ShapeError(f"a dealt block's array {shape} does not hold its chunk on axis -3")
-        return shape[:-3] + (self.shared.cuts[-1],) + shape[-2:]
+        axis = self.shared.axis
+        if len(shape) <= axis or shape[axis] != self.size:
+            raise ShapeError(f"a dealt block's array {shape} does not hold its chunk "
+                             f"on front axis {axis}")
+        return shape[:axis] + (self.shared.cuts[-1],) + shape[axis + 1:]
 
     def random(self, shape: tuple) -> np.ndarray:
         """This part's rows of the next draw, as ``rng.random`` of the whole."""
@@ -631,14 +640,19 @@ def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) 
     A recording deal, of at most one chunk per CPU, gives each chunk its
     own tape and, for `rng`, a `_Part` that draws its rows of each whole
     dropout mask.  The block's own arrays, and so every Parameter gradient
-    a part makes (`Tensor._accum`), must hold the chunk on axis -3; one
+    a part makes (`Tensor._accum`), must hold the chunk on front axis
+    ``x.ndim - 3``: the frame axis of a spatial block's arrays, head-split
+    or not, and the joint axis of a temporal block's joint-major ones.  One
     that does not raises ShapeError.  The node returned runs the parts'
     backwards on the pool: each defers its parameter-gradient rows, which
-    are reduced once each in the serial layout (`_Recorded`), and writes
-    its input gradient into one array laid out as its own, which is how
-    the serial backward lays it out.  The serial block's output, loss,
-    every gradient and the generator state are thus kept bit for bit, for
-    any number of parts.
+    are reduced once each in the serial layout (`_Recorded`).  If `x`
+    already holds a gradient (from a consumer the backward reached
+    first), each part's chunk gradient starts as its view of it and the
+    part's own terms are added there in place, continuing the serial sum;
+    otherwise each part writes its input gradient into one array laid out
+    as its own, which is how the serial backward lays it out.  The serial
+    block's output, loss, every gradient and the generator state are thus
+    kept bit for bit, for any number of parts.
     """
     if count <= 1:
         return block(x, rng)
@@ -647,7 +661,7 @@ def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) 
     cuts = [n * i // count for i in range(count + 1)]
     lead = (slice(None),) * (axis % x.data.ndim)
     chunks = [lead + (slice(a, b),) for a, b in zip(cuts, cuts[1:])]
-    shared = _Recorded(rng, cuts) if _grad_enabled.get() else None
+    shared = _Recorded(rng, cuts, x.data.ndim - 3) if _grad_enabled.get() else None
     parts = [_Part(shared, i) for i in range(count)] if shared else None
     with precision(x.data.dtype):  # chunk views and the output keep x's dtype
         ins = [Tensor(x.data[c], requires_grad=x.requires_grad) for c in chunks]
@@ -662,12 +676,15 @@ def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) 
 
     def backward(g):
         grad_in = []
+        held = x.grad  # serially, the parts' terms add to this sum, chunk by chunk
 
         def run(first, last):
             for i in range(first, last):
+                if held is not None:
+                    ins[i].grad = held[chunks[i]]
                 parts[i].run(outs[i].backward, g[chunks[i]])
                 outs[i] = None
-                if x.requires_grad:
+                if held is None and x.requires_grad:
                     full = shared.gather("input", chunks[i], ins[i].grad, x.data.shape)
                     if full is not None:
                         grad_in.append(full)

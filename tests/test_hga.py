@@ -98,20 +98,22 @@ class TestSplitMergeHeads:
 
 class TestAggregateHybrid:
     def test_row_swap(self):
-        adj = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        out = aggregate_hybrid(x, adj)
+        out = aggregate_hybrid(x, Tensor(np.zeros((2, 2))), swap)
         assert out.data[0].tolist() == [[3.0, 4.0], [1.0, 2.0]]
 
     def test_zero_adjacency(self):
-        out = aggregate_hybrid(Tensor(np.ones((2, 3, 4))), Tensor(np.zeros((3, 3))))
+        out = aggregate_hybrid(Tensor(np.ones((2, 3, 4))), Tensor(np.zeros((3, 3))),
+                               np.zeros((3, 3)))
         assert not out.data.any()
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(8)
-        adj = rng.normal(size=(3, 3))
+        learned, prior = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        adj = learned + prior
         x = rng.normal(size=(2, 3, 4))
-        out = aggregate_hybrid(Tensor(x), Tensor(adj))
+        out = aggregate_hybrid(Tensor(x), Tensor(learned), prior)
         expected = np.zeros_like(x)
         for t in range(2):
             for i in range(3):
@@ -225,12 +227,11 @@ class TestHgaForward:
         from poselift.numerics import batch_norm, gelu, layer_norm
         x_in = layer_norm(x, params.ln_gamma, params.ln_beta)
         x_a, x_b = linear(x_in, params.w_a), linear(x_in, params.w_b)
-        adj_total = Tensor(adj) + params.learnable_adj
         fused = []
         for h in range(2):  # one head at a time, on a head axis of length 1
             a_h = x_a[..., 2 * h : 2 * h + 2].reshape(2, 1, 3, 2)
             b_h = x_b[..., 2 * h : 2 * h + 2].reshape(2, 1, 3, 2)
-            hyb = aggregate_hybrid(b_h, adj_total)
+            hyb = aggregate_hybrid(b_h, params.learnable_adj, adj)
             att = hybrid_cross_attention(a_h, hyb, params)
             joint = npsc(a_h, b_h)
             fused.append(fuse_update(a_h, att, joint, params.w_upd))
@@ -272,9 +273,8 @@ class TestHgaForward:
         adj = chain_adjacency(3)
         assert not params.learnable_adj.data.any()
         x = Tensor(np.random.default_rng(27).normal(size=(2, 3, 2)))
-        with_total = aggregate_hybrid(x, params.learnable_adj + Tensor(adj))
-        skeletal_only = aggregate_hybrid(x, Tensor(adj))
-        assert np.array_equal(with_total.data, skeletal_only.data)
+        with_total = aggregate_hybrid(x, params.learnable_adj, adj)
+        assert np.array_equal(with_total.data, adj @ x.data)
 
     def test_deterministic(self):
         params = tiny_params(seed=28)

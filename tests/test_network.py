@@ -7,12 +7,14 @@ import pytest
 
 from poselift import network, numerics
 from poselift.errors import ConfigError, ShapeError
+from poselift.hga import hga_forward
 from poselift.losses import total_loss
 from poselift.network import (EncoderParams, ModelConfig, PoseLifter, embed_input,
                               encoder_forward, regression_head,
                               spatial_block_forward, temporal_block_forward,
                               two_stage_forward)
-from poselift.numerics import Parameter, Tensor, grad_check, linear, no_grad, precision
+from poselift.numerics import (Parameter, Tensor, gelu, grad_check, linear, no_grad,
+                               precision)
 from poselift.skeleton import SkeletonGraph, human36m_skeleton
 from poselift.training import AdamW, TrainConfig
 
@@ -225,9 +227,10 @@ class TestPoseLifter:
     def test_training_tape_node_count(self):
         # Regression guard for the fused attention, normalisation, head
         # split and merge, residual dropout, projected GELU, HGA GELU with
-        # its residual and concatenating linear nodes, and for the temporal
+        # its residual and concatenating linear nodes, the HGA's adjacency
+        # sum with its product (`aggregate_hybrid`), and for the temporal
         # embedding added inside the temporal block's own joint-major swap:
-        # 167 nodes, 94 of them Parameters, whose arrays hold 49,296 bytes.
+        # 163 nodes, 94 of them Parameters, whose arrays hold 49,080 bytes.
         # A change here means the layers record a different tape.
         cfg = ModelConfig(frames=3, joints=3, channels_in=2, embed_dim=4, depth=1,
                           ste_heads=2, tte_heads=2, hga_heads=2, dropout=0.25)
@@ -235,7 +238,7 @@ class TestPoseLifter:
         x = np.random.default_rng(0).normal(size=(2, 3, 3, 2))
         out = model.forward(x, training=True, rng=np.random.default_rng(1))
         assert len(model.parameters()) == 94
-        assert tape_counts(out) == (167, 49296)
+        assert tape_counts(out) == (163, 49080)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_grad_forward_writes_nothing_and_matches_recording(self, monkeypatch, dtype):
@@ -300,7 +303,8 @@ class TestPoseLifter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts == ([2] * 4 if dealt else [])
+        # Two HGA cores, the STE and the temporal block, forward and backward.
+        assert counts == ([2] * 8 if dealt else [])
         assert peak < 28.5e6
 
     def test_train_step_fingerprint(self):
@@ -593,9 +597,9 @@ class TestParallelForward:
 
 
 class TestRecordedDeal:
-    """A recording, training-mode forward deals each STE's frames and each
-    temporal block's joints to the worker pool, every part on its own tape,
-    and its step equals the serial step bit for bit."""
+    """A recording, training-mode forward deals each HGA core's and each
+    STE's frames and each temporal block's joints to the worker pool, every
+    part on its own tape, and its step equals the serial step bit for bit."""
 
     FRAMES = 12
 
@@ -641,8 +645,9 @@ class TestRecordedDeal:
         for workers in (2, 3):
             dealt, state, counts = self.steps(monkeypatch, dtype, drop, batch, depth, workers,
                                               embed_dim)
-            # Per step and block, the STE and the temporal block, forward and backward.
-            assert counts == [workers] * (8 * depth)
+            # Per step and block, two HGA cores, the STE and the temporal
+            # block, forward and backward.
+            assert counts == [workers] * (16 * depth)
             assert state == serial_state
             TestParallelForward.assert_bitwise([np.atleast_1d(a) for a in dealt],
                                                [np.atleast_1d(a) for a in serial])
@@ -679,6 +684,60 @@ class TestRecordedDeal:
             TestParallelForward.assert_bitwise(got, grads[0])
         assert x.grad.flags.c_contiguous == (seed_layout == "C order")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dealt_hga_equals_the_serial_one(self, monkeypatch, dtype):
+        # Only the core between the norms is dealt: the layer norm, the batch
+        # norm (whose training statistics couple every entry) and the GELU
+        # with its residual run whole.  The core's head-split arrays hold a
+        # part's frames on axis 1, not -3, and the adjacency gradient comes
+        # to the deal unreduced.
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            counts = TestParallelForward.counting_deals(monkeypatch)
+            with precision(dtype):
+                cfg = ModelConfig(frames=self.FRAMES, channels_in=2, embed_dim=16, depth=1,
+                                  hga_heads=4)
+                model = PoseLifter(cfg, human36m_skeleton(), seed=102)
+                params = model.blocks[0][0].hga1
+                rng = np.random.default_rng(103)
+                params.learnable_adj.data = rng.normal(scale=0.1, size=(17, 17)).astype(dtype)
+                x = Tensor(rng.normal(size=(3, self.FRAMES, 17, 16)), requires_grad=True)
+                out = hga_forward(x, params, model.hybrid.skeletal, training=True,
+                                  per_frame=lambda core, t: numerics._in_parts(
+                                      lambda c, r: core(c), t, -3, workers, 16))
+                out.backward(rng.normal(size=out.data.shape).astype(dtype))
+            assert counts == ([] if workers == 1 else [workers] * 2)
+            assert params.learnable_adj.grad is not None
+            results.append([out.data, x.grad] + [p.grad for p in params.parameters()]
+                           + [params.bn_mean, params.bn_var])
+        for got in results[1:]:
+            assert got[1].strides == results[0][1].strides
+            TestParallelForward.assert_bitwise(got, results[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_continues_a_sum_the_backward_began(self, monkeypatch, dtype):
+        # x feeds the dealt block, which uses it twice, and a residual whose
+        # gradient r the backward hands x first.  Serially x.grad is
+        # (r + g1) + g2, which differs from r + (g1 + g2) in the last bits.
+        monkeypatch.setattr(numerics, "_WORKERS", 3)
+        rng = np.random.default_rng(104)
+        values = rng.normal(size=(2, self.FRAMES, 17, 16))
+        seed = rng.normal(size=values.shape)
+        grads = []
+        with precision(dtype):
+            w1, w2 = (Parameter(rng.normal(size=(16, 16)), f"w{i}") for i in (1, 2))
+            for count in (1, 2, 3):
+                x = Tensor(values, requires_grad=True)
+                y = numerics._in_parts(lambda t, r: linear(t, w1) * linear(t, w2), x, -3,
+                                       count, 16)
+                gelu(y, residual=x).backward(seed)
+                grads.append([x.grad, w1.grad, w2.grad])
+                w1.grad = w2.grad = None
+        for got in grads[1:]:
+            assert got[0].strides == grads[0][0].strides
+            TestParallelForward.assert_bitwise(got, grads[0])
+
     def test_parameter_reached_by_a_non_reducing_node_is_refused(self, monkeypatch):
         # Every Parameter gradient a part makes goes to the deal unreduced.
         # Through a reshape, p's (C,) gradient holds no chunk to gather, so
@@ -689,7 +748,7 @@ class TestRecordedDeal:
         p = Parameter(rng.normal(size=16), "p")
         x = Tensor(rng.normal(size=(2, self.FRAMES, 17, 16)), requires_grad=True)
         out = numerics._in_parts(lambda t, r: t * p.reshape((1, 16)), x, -3, 2, 16)
-        with pytest.raises(ShapeError, match="chunk on axis -3"):
+        with pytest.raises(ShapeError, match="chunk on front axis 1"):
             out.backward()
         assert p.grad is None and x.grad is None
 

@@ -458,6 +458,18 @@ class TestTensorBasics:
             y = x * 2.0
         assert not y.requires_grad
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 3), ()])
+    def test_backward_refuses_a_seed_of_another_shape(self, shape):
+        # A (2, 3) seed used to be summed down to [2, 2, 2], and a (4,) one
+        # to give the (3,) parameter a (4,) gradient, without an error.
+        p = Parameter(np.ones(3), "p")
+        out = p * 2.0
+        with pytest.raises(ShapeError, match="seed"):
+            out.backward(np.ones(shape))
+        assert p.grad is None and out.grad is None
+        out.backward(np.ones(3))
+        assert p.grad.tolist() == [2.0, 2.0, 2.0]
+
     def test_precision_context(self):
         with precision("float32"):
             assert Tensor(np.ones(3)).data.dtype == np.float32
