@@ -118,12 +118,11 @@ class MotionSpec:
             raise ConfigError("root sway frequency must be >= 0")
 
 
-def default_rest_offsets(skeleton: SkeletonGraph, rng: np.random.Generator | None = None) -> np.ndarray:
+def default_rest_offsets(skeleton: SkeletonGraph, rng: np.random.Generator) -> np.ndarray:
     """The anatomical offsets for the 17-joint preset, or seeded random
     bone vectors (length 200-500 mm) for other skeletons."""
     if skeleton.joint_count == 17 and skeleton.edges == human36m_skeleton().edges:
         return H36M_REST_OFFSETS_MM.copy()
-    rng = rng or np.random.default_rng(0)
     offsets = np.zeros((skeleton.joint_count, 3))
     offsets[skeleton.root_index] = (0.0, 0.0, 4500.0)
     for j in range(skeleton.joint_count):

@@ -71,7 +71,8 @@ def project_ab(x_in, params: HgaParams) -> tuple:
 
 def aggregate_hybrid(x_b_h, adj, skeletal_adj) -> Tensor:
     """Mix joint features through the adjacency `adj` plus the fixed
-    `skeletal_adj`, taken in adj's dtype, per frame, as one node.
+    `skeletal_adj`, taken in adj's dtype so that a float32 model computes
+    in float32, per frame, as one node.
 
     The backward hands `adj` its gradient as the unreduced product pair
     (g, x_b^T), as `linear` hands its weight, so a dealt part defers its

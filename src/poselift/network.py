@@ -138,15 +138,12 @@ class TemporalBlock(Module):
                                    rng, f"{prefix}.tte{i}") for i in range(3)]
 
 
-def embed_input(x, w_emb, b_emb=None, pe_spatial=None) -> Tensor:
-    """Per-joint linear projection into the embedding space (+ spatial PE)."""
+def embed_input(x, w_emb, b_emb, pe_spatial) -> Tensor:
+    """Per-joint linear projection into the embedding space, plus the spatial PE."""
     x = as_tensor(x)
     if x.data.shape[-1] != w_emb.data.shape[0]:
         raise ShapeError(f"input channels {x.data.shape[-1]} vs embedding {w_emb.data.shape}")
-    e = linear(x, w_emb, b_emb)
-    if pe_spatial is not None:
-        e = e + pe_spatial
-    return e
+    return linear(x, w_emb, b_emb) + pe_spatial
 
 
 def spatial_block_forward(x, block: SpatialBlock, skeletal_adj, training: bool = False,
@@ -155,13 +152,13 @@ def spatial_block_forward(x, block: SpatialBlock, skeletal_adj, training: bool =
     """Two HGAs, then the encoder over joints; each HGA's per-frame core
     and the encoder run their frames in `frames` chunks (`_in_parts`)."""
     def per_frame(core, t):
-        return _in_parts(lambda c, r: core(c), t, -3, frames, t.data.shape[-1])
+        return _in_parts(lambda c, r: core(c), t, -3, frames)
 
     for hga in (block.hga1, block.hga2):
         x = hga_forward(x, hga, skeletal_adj, training=training, attn_sink=attn_sink,
                         per_frame=per_frame)
     return _in_parts(lambda t, r: encoder_forward(t, block.ste, training, r, drop_rate),
-                     x, -3, frames, x.data.shape[-1], rng)
+                     x, -3, frames, rng)
 
 
 def temporal_block_forward(x, block: TemporalBlock, training: bool = False,
@@ -181,7 +178,7 @@ _SPLIT_BLOCK_ELEMENTS = 1 << 18  # activation elements per chunk of a no-grad bl
 _GROUP_ELEMENTS = 1 << 16        # activation elements per group of a batch
 
 
-def regression_head(x, w_head, b_head=None) -> Tensor:
+def regression_head(x, w_head, b_head) -> Tensor:
     """Per-joint linear map from the embedding space to 3D coordinates."""
     return linear(x, w_head, b_head)
 
@@ -223,11 +220,10 @@ class PoseLifter(Module):
 
         This is the one place that decides how a forward, and the backward
         of a recording one, use the CPUs.  Only a forward without an
-        attention sink, whose parameters have the input's dtype, spreads
-        over the worker pool, in one of three ways; any other runs
-        serially.  A no-grad, eval-mode forward takes one of two.  A batch
-        with more than one entry on axis 0 is cut into groups of
-        consecutive entries: about _GROUP_ELEMENTS activation elements each
+        attention sink spreads over the worker pool, in one of three ways;
+        any other runs serially.  A no-grad, eval-mode forward takes one of
+        two.  A batch with more than one entry on axis 0 is cut into groups
+        of consecutive entries: about _GROUP_ELEMENTS activation elements each
         (an entry counts frames x joints x embed_dim), at least one entry,
         and at least one group per CPU while entries last.  `_in_parts`
         deals the groups, and each runs the stack serially (`_stack` with
@@ -317,13 +313,13 @@ class PoseLifter(Module):
         outcome is the process's: in six other T=61, C=64 processes that
         lost, the pool thread had last run on the caller's CPU after every
         dealt lift.  From 72k the deal won in every process.  Chunks bound
-        what a part allocates at once.  On the T=243 lift (two 10 s
-        perfbench runs each, corrected op time and peak RSS, while the pool
-        thread had a malloc arena of its own, which kept much of what it
-        freed): one chunk per part 0.97-1.00 s and 203.5 MB, chunks of 2^18
-        elements (1 MiB in float32, inside the 2 MiB L2 per core) 0.91-0.93
-        s and 181-183 MB, of 2^17 0.94-0.98 s and 176 MB, of 2^16 1.02 s and
-        173 MB.  The pool now shares the caller's arena (`_one_malloc_arena`).
+        what a part allocates at once.  perfbench lift-t243 (seed 29, three
+        alternating 15 s runs each, corrected op time and peak RSS, the pool
+        sharing the caller's malloc arena): one chunk per part 0.86-0.89 s
+        and 205-211 MB, chunks of 2^18 elements (1 MiB in float32, inside
+        the 2 MiB L2 per core) 0.89-0.92 s and 169.5-169.7 MB, of 2^17
+        0.91-0.95 s and 169.0-170.6 MB, of 2^16 1.03-1.05 s and 168.0-168.6
+        MB: 2^18 keeps almost all of the memory saved for 3% of the time.
         """
         x = as_tensor(x)
         cfg = self.config
@@ -331,24 +327,21 @@ class PoseLifter(Module):
             raise ShapeError(f"expected (..., T, N, {cfg.channels_in}), got {x.data.shape}")
         if x.data.shape[-2] != cfg.joints or x.data.shape[-3] != cfg.frames:
             raise ShapeError(f"expected {cfg.frames} frames x {cfg.joints} joints, got {x.data.shape}")
-        # A piece's output has x's dtype only if every parameter has it.
-        uniform = (attn_sink is None
-                   and all(p.data.dtype == x.data.dtype for p in self.parameters()))
         recording = _grad_enabled.get()
         activations = x.data.size // cfg.channels_in * cfg.embed_dim
         entries = x.data.shape[0] if x.data.ndim > 3 else 1
         frames = joints = 1
-        if uniform and not training and not recording:
+        if attn_sink is None and not training and not recording:
             if entries > 1:
                 per_group = max(1, _GROUP_ELEMENTS // (activations // entries))
                 groups = max(-(-entries // per_group), min(entries, numerics._WORKERS))
                 if groups > 1:
                     return _in_parts(lambda t, r: self._stack(t, training, r, attn_sink, 1, 1),
-                                     x, 0, groups, 3, rng)
+                                     x, 0, groups, rng)
             if activations >= _DEAL_MIN_ELEMENTS:
                 chunks = max(numerics._WORKERS, activations // _SPLIT_BLOCK_ELEMENTS)
                 frames, joints = min(cfg.frames, chunks), min(cfg.joints, chunks)
-        elif uniform and training and recording and activations >= _DEAL_MIN_ELEMENTS:
+        elif attn_sink is None and training and recording and activations >= _DEAL_MIN_ELEMENTS:
             # Chunks of at least two indices: a chunk's layout then shows where its axis lies.
             frames = min(cfg.frames // 2, numerics._WORKERS)
             joints = min(cfg.joints // 2, numerics._WORKERS)
@@ -361,7 +354,6 @@ class PoseLifter(Module):
         cores and encoder are cut, not the block."""
         drop = self.config.dropout
         e = embed_input(x, self.w_emb, self.b_emb, self.pe_spatial)
-        channels = e.data.shape[-1]
         adj = self.hybrid.skeletal
         for l, (sb, tb) in enumerate(self.blocks):
             pe = self.pe_temporal if l == 0 else None
@@ -369,10 +361,9 @@ class PoseLifter(Module):
                 e = spatial_block_forward(e, sb, adj, training, rng, drop, attn_sink, frames)
             else:
                 e = _in_parts(lambda t, r: spatial_block_forward(t, sb, adj, training, r, drop,
-                                                                 attn_sink), e, -3, frames,
-                              channels, rng)
+                                                                 attn_sink), e, -3, frames, rng)
             e = _in_parts(lambda t, r: temporal_block_forward(t, tb, training, r, drop, pe),
-                          e, -2, joints, channels, rng)
+                          e, -2, joints, rng)
         return regression_head(e, self.w_head, self.b_head)
 
 

@@ -11,9 +11,10 @@ One pool of threads, one per CPU, takes the chunks `_in_parts` cuts
 from a block's input, as ``network.PoseLifter.forward`` decides: a
 no-grad batch's groups of sequences, a single large sequence's block
 chunks, or a training step's HGA-core and encoder chunks, each with its
-own tape.  The parts of such a recorded deal hold their chunk on front
-axis ``ndim - 3`` of the block's arrays (``ndim`` is the rank of the
-block's input), draw each dropout mask whole, and have `Tensor._accum`
+own tape; the parts' outputs are joined into one array of the shape and
+dtype they return.  The parts of such a recorded deal hold their chunk
+on front axis ``ndim - 3`` of the block's arrays (``ndim`` is the rank
+of the block's input), draw each dropout mask whole, and have `Tensor._accum`
 hand each parameter gradient they make over unreduced, so that each is
 reduced once as the serial backward reduces it (`_Recorded`).  None of
 this changes the arithmetic, so identical inputs reproduce bit-identical
@@ -267,11 +268,11 @@ class Tensor:
 
     # -- reductions and shape ops ---------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None) -> "Tensor":
+        out_data = self.data.sum(axis=axis)
 
         def bw(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.data.shape))
 
@@ -506,11 +507,11 @@ class _Recorded:
     A part that would make a new shared array while more than
     _DEAL_LIVE_BYTES of them wait for other parts' rows first waits for
     the others to catch up, so a part that runs ahead cannot pile them up
-    (unbounded, three float32 train-t27-sized steps on two workers peaked
-    at 321.7 MB RSS, against 304.5-308.7 MB in two runs with the bound,
-    each thread then on its own malloc arena); a failing part releases
-    every wait.  Each part must run on its own thread, so there are at
-    most _WORKERS parts.
+    (perfbench train-t27, seed 29, alternating 15 s runs on two workers
+    sharing one malloc arena: peak RSS 349.8-352.5 MB unbounded against
+    336.7-339.5 MB with the bound, four runs each, at the same speed); a
+    failing part releases every wait.  Each part must run on its own
+    thread, so there are at most _WORKERS parts.
     """
 
     def __init__(self, rng, cuts: list, axis: int):
@@ -629,13 +630,19 @@ class _Part:
             _part.reset(token)
 
 
-def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) -> Tensor:
+def _in_parts(block, x: Tensor, axis: int, count: int, rng=None) -> Tensor:
     """``block(x, rng)``, computed in `count` chunks of `x` on `axis`, for a
     `block` that maps each index of `x` on `axis` alone to an output of x's
-    shape, with `channels` on the last axis, and x's dtype.  The chunks are
-    balanced cuts and views of `x`; `_deal` hands them out in contiguous
-    runs, one part per CPU, and each chunk writes its output into one
-    preallocated array.  No part deals again.
+    rank.  The chunks are balanced cuts and views of `x`; `_deal` hands
+    them out in contiguous runs, one part per CPU.  No part deals again.
+    Once every part has finished, the chunks' outputs are joined on `axis`
+    into one array, so a block that widens the dtype or changes the width
+    gives the serial block's result.  The output is made only once the
+    parts' temporaries are freed: made by the first part to finish a
+    chunk, while other parts' temporaries were live, it raised perfbench
+    lift-t243's peak RSS (seed 29, 30 s runs) to 175.6 and 179.3 MB in 2
+    of 18 runs, against 169.4-171.0 MB in each of 16 runs joined after
+    the deal.
 
     A recording deal, of at most one chunk per CPU, gives each chunk its
     own tape and, for `rng`, a `_Part` that draws its rows of each whole
@@ -657,22 +664,18 @@ def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) 
     if count <= 1:
         return block(x, rng)
     n = x.data.shape[axis]
-    out = np.empty(x.data.shape[:-1] + (channels,), x.data.dtype)
     cuts = [n * i // count for i in range(count + 1)]
     lead = (slice(None),) * (axis % x.data.ndim)
     chunks = [lead + (slice(a, b),) for a, b in zip(cuts, cuts[1:])]
     shared = _Recorded(rng, cuts, x.data.ndim - 3) if _grad_enabled.get() else None
     parts = [_Part(shared, i) for i in range(count)] if shared else None
-    with precision(x.data.dtype):  # chunk views and the output keep x's dtype
+    with precision(x.data.dtype):  # the chunk views keep x's dtype
         ins = [Tensor(x.data[c], requires_grad=x.requires_grad) for c in chunks]
-        node = Tensor(out)
     outs = [None] * count
 
     def forward(first, last):
         for i in range(first, last):
             outs[i] = parts[i].run(block, ins[i], parts[i]) if parts else block(ins[i], rng)
-            out[chunks[i]] = outs[i].data
-            outs[i].data = out[chunks[i]]  # frees the part's own output array
 
     def backward(g):
         grad_in = []
@@ -696,6 +699,9 @@ def _in_parts(block, x: Tensor, axis: int, count: int, channels: int, rng=None) 
             x._accum(grad_in[0], owned=True)
 
     _deal(forward, count)
+    node = Tensor._node(np.concatenate([o.data for o in outs], axis=axis), (), None)
+    for o, c in zip(outs, chunks):
+        o.data = node.data[c]  # frees the part's own output array
     if outs[0].requires_grad:
         node.requires_grad, node._parents, node._backward = True, (x,), backward
     return node
@@ -719,33 +725,6 @@ def _project(x: np.ndarray, w: Tensor, b, out: np.ndarray | None = None) -> np.n
         np.matmul(x, w.data, out=out)
     if b is not None:
         out += b.data
-    return out
-
-
-def _linear_data(x, w: Tensor, b, heads: int | None = None,
-                 merge_heads: bool = False) -> np.ndarray:
-    """The value of ``linear(x, w, b, heads, merge_heads)`` for an ndarray or
-    a tuple of ndarrays `x`: the output in its own layout is allocated
-    first, then the concatenated input is projected into it (heads split
-    by one copy, merged heads written head by head into their columns)."""
-    xs = x if isinstance(x, tuple) else (x,)
-    n = w.data.shape[1]
-    shape = xs[0].shape[:-1] + (n,)
-    if heads is not None:
-        shape = shape[:-2] + (heads, shape[-2], n // heads)
-    elif merge_heads:
-        h = shape[-3]
-        shape = shape[:-3] + (shape[-2], h * n)
-    out = np.empty(shape, np.result_type(*xs, w.data))
-    x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
-    if heads is not None:
-        out[...] = _head_view(_project(x, w, b), heads)
-    elif merge_heads:
-        merged = out.reshape(out.shape[:-1] + (h, n))
-        for i in range(h):
-            _project(x[..., i, :, :], w, b, out=merged[..., i, :])
-    else:
-        _project(x, w, b, out=out)
     return out
 
 
@@ -815,7 +794,25 @@ def linear(x, w, b=None, heads: int | None = None, merge_heads: bool = False) ->
     if heads is not None and (heads < 1 or w.data.shape[1] % heads):
         raise ShapeError(f"linear: {w.data.shape[1]} output channels in {heads} heads")
     b = as_tensor(b) if b is not None else None
-    out_data = _linear_data(tuple(t.data for t in xs), w, b, heads, merge_heads)
+    # The output in its own layout first, then the joined input projected
+    # into it: heads split by one copy, merged heads written head by head.
+    n = w.data.shape[1]
+    shape = x_shape[:-1] + (n,)
+    if heads is not None:
+        shape = shape[:-2] + (heads, shape[-2], n // heads)
+    elif merge_heads:
+        h = shape[-3]
+        shape = shape[:-3] + (shape[-2], h * n)
+    out_data = np.empty(shape, np.result_type(*(t.data for t in xs), w.data))
+    joined = _joined(xs)
+    if heads is not None:
+        out_data[...] = _head_view(_project(joined, w, b), heads)
+    elif merge_heads:
+        merged = out_data.reshape(shape[:-1] + (h, n))
+        for i in range(h):
+            _project(joined[..., i, :, :], w, b, out=merged[..., i, :])
+    else:
+        _project(joined, w, b, out=out_data)
     parents = xs + ((w,) if b is None else (w, b))
 
     def bw(g):
@@ -1238,7 +1235,7 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool,
         return x
     if drop and rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    y = x.data if w is None else _linear_data(x.data, w, b)
+    y = x.data if w is None else _project(x.data, w, b)
     if residual is not None and residual.data.shape != y.shape:
         raise ShapeError(f"dropout: residual {residual.data.shape} vs value {y.shape}")
     if drop:

@@ -15,14 +15,14 @@ from poselift.skeleton import human36m_skeleton
 class TestGenerateMotion:
     def test_zero_amplitudes_give_static_pose(self):
         sk = human36m_skeleton()
-        spec = MotionSpec(rest_offsets=default_rest_offsets(sk), waves={})
+        spec = MotionSpec(rest_offsets=default_rest_offsets(sk, np.random.default_rng(0)), waves={})
         seq = generate_motion(sk, frames=10, seed=0, motion_spec=spec)
         assert np.allclose(seq.values, seq.values[0])
 
     def test_bone_lengths_constant(self):
         sk = human36m_skeleton()
         seq = generate_motion(sk, frames=40, seed=1)
-        offsets = default_rest_offsets(sk)
+        offsets = default_rest_offsets(sk, np.random.default_rng(0))
         parents = sk.parents()
         for j in range(1, sk.joint_count):
             bones = np.linalg.norm(seq.values[:, j] - seq.values[:, parents[j]], axis=-1)
@@ -31,7 +31,7 @@ class TestGenerateMotion:
 
     def test_rotating_elbow_traces_circle_of_forearm_radius(self):
         sk = human36m_skeleton()
-        offsets = default_rest_offsets(sk)
+        offsets = default_rest_offsets(sk, np.random.default_rng(0))
         # joint 12 = left elbow; its wave swings the wrist (joint 13)
         spec = MotionSpec(rest_offsets=offsets,
                           waves={12: JointWave(axis=(0.0, 0.0, 1.0), amplitude=1.0,

@@ -104,28 +104,33 @@ class TestModelConfig:
 class TestEmbedAndHead:
     def test_zero_input_zero_pe(self):
         w = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
-        out = embed_input(Tensor(np.zeros((3, 3, 2))), w)
+        out = embed_input(Tensor(np.zeros((3, 3, 2))), w, Tensor(np.zeros(4)),
+                          Tensor(np.zeros((3, 4))))
         assert not out.data.any()
 
     def test_identity_embedding(self):
         x = np.random.default_rng(1).normal(size=(3, 3, 2))
-        out = embed_input(Tensor(x), Tensor(np.eye(2)))
+        out = embed_input(Tensor(x), Tensor(np.eye(2)), Tensor(np.zeros(2)),
+                          Tensor(np.zeros((3, 2))))
         assert np.array_equal(out.data, x)
 
     def test_shape_contract(self):
         w = Tensor(np.random.default_rng(2).normal(size=(5, 64)))
-        out = embed_input(Tensor(np.zeros((27, 17, 5))), w)
+        out = embed_input(Tensor(np.zeros((27, 17, 5))), w, Tensor(np.zeros(64)),
+                          Tensor(np.zeros((17, 64))))
         assert out.data.shape == (27, 17, 64)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            embed_input(Tensor(np.zeros((3, 3, 2))), Tensor(np.zeros((5, 8))))
+            embed_input(Tensor(np.zeros((3, 3, 2))), Tensor(np.zeros((5, 8))),
+                        Tensor(np.zeros(8)), Tensor(np.zeros((3, 8))))
 
     def test_regression_head(self):
         x = np.random.default_rng(3).normal(size=(4, 5, 8))
-        assert not regression_head(Tensor(x), Tensor(np.zeros((8, 3)))).data.any()
+        zero = Tensor(np.zeros(3))
+        assert not regression_head(Tensor(x), Tensor(np.zeros((8, 3))), zero).data.any()
         w = np.random.default_rng(4).normal(size=(8, 3))
-        out = regression_head(Tensor(x), Tensor(w))
+        out = regression_head(Tensor(x), Tensor(w), zero)
         assert out.data.shape == (4, 5, 3)
         for t in range(4):
             assert np.allclose(out.data[t], x[t] @ w, atol=1e-12)
@@ -595,6 +600,26 @@ class TestParallelForward:
             assert got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), serial.view(np.uint32))
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_float64_model_deals_in_a_float32_context(self, monkeypatch, batched):
+        # Float32 input meets float64 weights in the embedding, so every piece
+        # returns float64, and so does the deal, which takes its output's
+        # dtype from the pieces.
+        pre, _, x2d = self.pipeline(np.float64, 16)
+        x = (x2d if batched else x2d[:1]).astype(np.float32)
+        monkeypatch.setattr(numerics, "_WORKERS", 1)
+        with precision(np.float32), no_grad():
+            serial = pre.forward(x).data
+        monkeypatch.setattr(network, "_DEAL_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(network, "_SPLIT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        counts = self.counting_deals(monkeypatch)
+        with precision(np.float32), no_grad():
+            dealt = pre.forward(x).data
+        assert counts == ([2] if batched else [self.FRAMES, 17] * 2)
+        assert serial.dtype == np.float64
+        self.assert_bitwise([dealt], [serial])
+
 
 class TestRecordedDeal:
     """A recording, training-mode forward deals each HGA core's and each
@@ -673,7 +698,7 @@ class TestRecordedDeal:
                 x = Tensor(rng.normal(size=(3, self.FRAMES, 17, 16)), requires_grad=True)
                 out = numerics._in_parts(
                     lambda t, r: temporal_block_forward(t, block, True, r, 0.25),
-                    x, -2, workers, 16, rng)
+                    x, -2, workers, rng)
                 seed = rng.normal(size=out.data.shape).astype(np.float32)
                 if seed_layout == "joint-major":
                     seed = np.ascontiguousarray(seed.swapaxes(1, 2)).swapaxes(1, 2)
@@ -705,7 +730,7 @@ class TestRecordedDeal:
                 x = Tensor(rng.normal(size=(3, self.FRAMES, 17, 16)), requires_grad=True)
                 out = hga_forward(x, params, model.hybrid.skeletal, training=True,
                                   per_frame=lambda core, t: numerics._in_parts(
-                                      lambda c, r: core(c), t, -3, workers, 16))
+                                      lambda c, r: core(c), t, -3, workers))
                 out.backward(rng.normal(size=out.data.shape).astype(dtype))
             assert counts == ([] if workers == 1 else [workers] * 2)
             assert params.learnable_adj.grad is not None
@@ -729,14 +754,52 @@ class TestRecordedDeal:
             w1, w2 = (Parameter(rng.normal(size=(16, 16)), f"w{i}") for i in (1, 2))
             for count in (1, 2, 3):
                 x = Tensor(values, requires_grad=True)
-                y = numerics._in_parts(lambda t, r: linear(t, w1) * linear(t, w2), x, -3,
-                                       count, 16)
+                y = numerics._in_parts(lambda t, r: linear(t, w1) * linear(t, w2), x, -3, count)
                 gelu(y, residual=x).backward(seed)
                 grads.append([x.grad, w1.grad, w2.grad])
                 w1.grad = w2.grad = None
         for got in grads[1:]:
             assert got[0].strides == grads[0][0].strides
             TestParallelForward.assert_bitwise(got, grads[0])
+
+    @pytest.mark.parametrize("block", ["widening", "three channels"])
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_output_takes_the_dtype_and_width_of_its_parts(self, monkeypatch, block,
+                                                           recording):
+        # The deal joins what its parts return: float32 chunks scaled by a
+        # float64 constant come back in float64, a projection to 3 channels
+        # 3 wide.
+        rng = np.random.default_rng(105)
+        width = 16 if block == "widening" else 3
+        values = rng.normal(size=(2, self.FRAMES, 17, 16))
+        seed = rng.normal(size=(2, self.FRAMES, 17, width))
+        scale = Tensor(rng.normal(size=16))
+        with precision(np.float32):
+            w = Parameter(rng.normal(size=(16, width)), "w")
+
+        def fn(t, r):
+            return linear(t, w) * scale if block == "widening" else linear(t, w)
+
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            counts = TestParallelForward.counting_deals(monkeypatch)
+            with precision(np.float32):
+                x = Tensor(values, requires_grad=recording)
+                if recording:
+                    out = numerics._in_parts(fn, x, -3, workers)
+                    out.backward(seed)
+                    results.append([out.data, x.grad, w.grad])
+                    w.grad = None
+                else:
+                    with no_grad():
+                        results.append([numerics._in_parts(fn, x, -3, workers).data])
+            assert counts == [workers] * (1 + recording) * (workers > 1)
+        dtype = np.float64 if block == "widening" else np.float32
+        assert all(a.dtype == dtype for a in results[0])
+        assert results[0][0].shape == seed.shape
+        for got in results[1:]:
+            TestParallelForward.assert_bitwise(got, results[0])
 
     def test_parameter_reached_by_a_non_reducing_node_is_refused(self, monkeypatch):
         # Every Parameter gradient a part makes goes to the deal unreduced.
@@ -747,7 +810,7 @@ class TestRecordedDeal:
         rng = np.random.default_rng(101)
         p = Parameter(rng.normal(size=16), "p")
         x = Tensor(rng.normal(size=(2, self.FRAMES, 17, 16)), requires_grad=True)
-        out = numerics._in_parts(lambda t, r: t * p.reshape((1, 16)), x, -3, 2, 16)
+        out = numerics._in_parts(lambda t, r: t * p.reshape((1, 16)), x, -3, 2)
         with pytest.raises(ShapeError, match="chunk on front axis 1"):
             out.backward()
         assert p.grad is None and x.grad is None
@@ -771,7 +834,7 @@ class TestRecordedDeal:
             rng = np.random.default_rng(96)
             x = Tensor(rng.normal(size=(2, self.FRAMES, 17, 16)), requires_grad=True)
             out = numerics._in_parts(
-                lambda t, r: temporal_block_forward(t, block, True, r, 0.25), x, -2, 2, 16, rng)
+                lambda t, r: temporal_block_forward(t, block, True, r, 0.25), x, -2, 2, rng)
             # Joints 8-16 are the pool's part: its first dropout backward overflows.
             seed = np.ones(out.data.shape, np.float32)
             seed[..., 8:, :] = 3e38
