@@ -138,18 +138,6 @@ def _read_trajectories(path) -> tuple:
     return header, np.asarray(rows, dtype=np.float64)
 
 
-def _write_trajectories(header, values: np.ndarray, out_path) -> None:
-    target = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
-    try:
-        if header:
-            target.write(header + "\n")
-        for row in np.atleast_2d(values):
-            target.write(",".join(format(v, ".9g") for v in row) + "\n")
-    finally:
-        if out_path:
-            target.close()
-
-
 def cmd_dct(args) -> int:
     header, values = _read_trajectories(args.infile)
     frames = values.shape[0] if args.frames is None else args.frames
@@ -158,7 +146,7 @@ def cmd_dct(args) -> int:
     if values.shape[0] < frames:
         raise DataError(f"{args.infile}: {values.shape[0]} rows but --T {frames}")
     coeffs = dct_forward(values[:frames])
-    _write_trajectories(header, coeffs, args.out)
+    data_mod._write_csv(header, coeffs, args.out)
     return 0
 
 
@@ -169,7 +157,7 @@ def cmd_smooth(args) -> int:
         raise ConfigError(f"--keep must lie in [1, {frames}], got {args.keep}")
     coeffs = dct_forward(values)
     coeffs[args.keep :] = 0.0
-    _write_trajectories(header, dct_inverse(coeffs), args.out)
+    data_mod._write_csv(header, dct_inverse(coeffs), args.out)
     return 0
 
 

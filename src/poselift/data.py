@@ -13,7 +13,9 @@ f64 fps (finite, above 0), then the float32 little-endian payload in
 
 from __future__ import annotations
 
+import contextlib
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -336,8 +338,14 @@ def export_csv(seq: PoseSequence, path) -> None:
     """One row per frame, columns j{i}_x, j{i}_y[, j{i}_z, ...] per joint."""
     suffixes = {2: ("x", "y"), 3: ("x", "y", "z"), 5: ("u", "v", "x", "y", "z")}[seq.channels]
     header = ",".join(f"j{j}_{s}" for j in range(seq.joints) for s in suffixes)
-    flat = seq.values.reshape(seq.frames, -1)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for row in flat:
+    _write_csv(header, seq.values.reshape(seq.frames, -1), path)
+
+
+def _write_csv(header, rows, path) -> None:
+    """`header` unless empty, then one line of ``.9g`` values per row, to
+    the file `path`, or to standard output when `path` is empty."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as f:
+        if header:
+            f.write(header + "\n")
+        for row in np.atleast_2d(rows):
             f.write(",".join(format(v, ".9g") for v in row) + "\n")

@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by all modules, and the strict constructor
-that turns a JSON object into a config dataclass.
+"""Exception hierarchy shared by all modules, the one reader of JSON files,
+and the strict constructor that turns a JSON object into a config
+dataclass.
 
 CLI exit-code mapping: ConfigError-family -> 2, DataError-family -> 3,
 DivergenceError -> 4.
 """
 
+import json
 import types
 import typing
 
@@ -47,6 +49,15 @@ class ProjectionError(DataError):
 
 class DivergenceError(PoseLiftError):
     """A numeric quantity became non-finite."""
+
+
+def read_json(path):
+    """The JSON document in the file at `path`; malformed JSON raises ConfigError."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _fits(value, hint) -> bool:

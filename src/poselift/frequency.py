@@ -84,12 +84,12 @@ def truncation_weights(frames: int, cfg: FreqLossConfig) -> np.ndarray:
 
 
 def _pose_pair(y_hat, y) -> tuple:
-    """(y_hat, y) as Tensors of one (..., T, N, 3) shape, else ShapeError."""
+    """(y_hat, y) as Tensors of one non-empty (..., T, N, 3) shape, else ShapeError."""
     y_hat, y = as_tensor(y_hat), as_tensor(y)
     if y_hat.data.shape != y.data.shape:
         raise ShapeError(f"prediction {y_hat.data.shape} vs reference {y.data.shape}")
-    if y_hat.data.ndim < 3 or y_hat.data.shape[-1] != 3:
-        raise ShapeError(f"expected (..., T, N, 3), got {y_hat.data.shape}")
+    if y_hat.data.ndim < 3 or y_hat.data.shape[-1] != 3 or not y_hat.data.size:
+        raise ShapeError(f"expected a non-empty (..., T, N, 3), got {y_hat.data.shape}")
     return y_hat, y
 
 

@@ -19,8 +19,8 @@ def _check(y_hat, y):
     y = np.asarray(y, dtype=np.float64)
     if y_hat.shape != y.shape:
         raise ShapeError(f"prediction {y_hat.shape} vs reference {y.shape}")
-    if y_hat.ndim != 3 or y_hat.shape[-1] != 3:
-        raise ShapeError(f"expected (T, N, 3), got {y_hat.shape}")
+    if y_hat.ndim != 3 or y_hat.shape[-1] != 3 or not y_hat.size:
+        raise ShapeError(f"expected a non-empty (T, N, 3), got {y_hat.shape}")
     return y_hat, y
 
 
@@ -139,13 +139,15 @@ class EvalReport:
 
 
 def evaluate_sequences(predictions, references, names=None, allow_scale: bool = True) -> EvalReport:
-    """Metrics over matching lists of (T, N, 3) mm arrays.
+    """Metrics over matching, non-empty lists of non-empty (T, N, 3) mm arrays.
 
     Sequence-level values are aggregated weighted by their frame counts;
     the per-action map keeps each named sequence's own numbers.
     """
     if len(predictions) != len(references):
         raise ShapeError(f"{len(predictions)} predictions vs {len(references)} references")
+    if len(predictions) == 0:
+        raise ShapeError("no sequences to evaluate")
     if names is None:
         names = [f"seq{i}" for i in range(len(predictions))]
     per_action = {}

@@ -323,8 +323,9 @@ class PoseLifter(Module):
         """
         x = as_tensor(x)
         cfg = self.config
-        if x.data.ndim < 3 or x.data.shape[-1] != cfg.channels_in:
-            raise ShapeError(f"expected (..., T, N, {cfg.channels_in}), got {x.data.shape}")
+        if x.data.ndim < 3 or x.data.shape[-1] != cfg.channels_in or not x.data.size:
+            raise ShapeError(f"expected a non-empty (..., T, N, {cfg.channels_in}), "
+                             f"got {x.data.shape}")
         if x.data.shape[-2] != cfg.joints or x.data.shape[-3] != cfg.frames:
             raise ShapeError(f"expected {cfg.frames} frames x {cfg.joints} joints, got {x.data.shape}")
         recording = _grad_enabled.get()

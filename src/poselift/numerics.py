@@ -16,9 +16,10 @@ dtype they return.  The parts of such a recorded deal hold their chunk
 on front axis ``ndim - 3`` of the block's arrays (``ndim`` is the rank
 of the block's input), draw each dropout mask whole, and have `Tensor._accum`
 hand each parameter gradient they make over unreduced, so that each is
-reduced once as the serial backward reduces it (`_Recorded`).  None of
-this changes the arithmetic, so identical inputs reproduce bit-identical
-results whatever the number of CPUs.
+reduced once as the serial backward reduces it; the parts meet at these
+whole arrays one array at a time (`_Recorded`).  None of this changes the
+arithmetic, so identical inputs reproduce bit-identical results whatever
+the number of CPUs.
 
 The differentiation contract is empirical, not structural: every
 differentiable operation must pass ``grad_check`` (central finite
@@ -413,7 +414,6 @@ def l2norm_last(x) -> Tensor:
 _FLAT_GEMM_MIN_WEIGHT = 1 << 16   # weight entries from which `linear` flattens its GEMM
 _ROW_SWEEP_BELOW = 32             # softmax row length below which `_row_max` sweeps
 _ATTENTION_SLICE_BYTES = 1 << 21  # scores per slice in `scaled_dot_attention`
-_DEAL_LIVE_BYTES = 1 << 20        # shared arrays a recorded deal's parts may hold (`_Recorded`)
 
 
 def _cpu_count() -> int:
@@ -491,27 +491,32 @@ class _Recorded:
     its own tape on its own thread, and the block's own arrays hold a
     part's chunk on front axis `axis`, cut at `cuts`: axis 1 of a batch's
     (B, T, N, C) encoder arrays and (B, T, h, N, d) head-split HGA arrays
-    alike.  Dropout draws and parameter gradients then come out as one
-    serial block makes them:
+    alike.  The parts meet at whole arrays (`share`), so that dropout
+    draws and gradients come out as one serial block makes them:
 
     - the parts' k-th dropout draw is one ``rng.random`` draw of the whole
       mask, made by whichever part reaches it first, so in the serial
       order, and each part takes its rows of it (`_Part.random`);
     - in a part's backward, each Parameter gradient is handed over
       unreduced (`_Part.defer`): its rows go into one full array, made by
-      the first writer in its layout, and the part that completes the
-      array reduces it once with `_unbroadcast`, as the serial backward
-      reduces the same array in the same layout.  `finish` then adds the
-      results to the parameters in the order of their contributions.
+      the first writer in its layout, and the last writer reduces it once
+      with `_unbroadcast`, as the serial backward reduces the same array
+      in the same layout.  `finish` then adds the results to the
+      parameters in the order of their contributions;
+    - the block's input gradient rows go into one array likewise.
 
-    A part that would make a new shared array while more than
-    _DEAL_LIVE_BYTES of them wait for other parts' rows first waits for
-    the others to catch up, so a part that runs ahead cannot pile them up
-    (perfbench train-t27, seed 29, alternating 15 s runs on two workers
-    sharing one malloc arena: peak RSS 349.8-352.5 MB unbounded against
-    336.7-339.5 MB with the bound, four runs each, at the same speed); a
-    failing part releases every wait.  Each part must run on its own
-    thread, so there are at most _WORKERS parts.
+    One shared array is in use at a time: a part that would make a new one
+    waits while another is.  Every part reaches the same arrays in the same
+    order, so a part that has not used the array in use reaches it next,
+    without making one, and the deal cannot stall; a failing part releases
+    every wait.  The rule has no size in it: perfbench train-t27 (seed 29,
+    two workers sharing one malloc arena) holds one shared array of at
+    most 7.08 MB at a time, where a budget letting 1 MiB of them wait held
+    up to three; a step's traced peak, at the end of its forward, is 237.6
+    MiB either way, and peak RSS read 334.6-338.5 MB against 333.9-337.7
+    MB with the budget over ten alternating 30 s pairs, at the same speed.
+    Each part must run on its own thread, so there are at most _WORKERS
+    parts.
     """
 
     def __init__(self, rng, cuts: list, axis: int):
@@ -520,44 +525,27 @@ class _Recorded:
         if self.parts > _WORKERS:
             raise ValueError(f"a recorded deal of {self.parts} parts on {_WORKERS} CPUs")
         self.turn = threading.Condition()
-        self.live = 0       # bytes of the shared arrays below
         self.failed = False
-        self.draws = []     # [whole draw, or None once every part took its rows; takers]
-        self.full = {}      # key -> [full array, parts that wrote their rows]
+        self.arrays = {}    # key -> [shared array, parts that used it]
         self.reduced = []   # (contribution number, Parameter, reduced gradient)
 
-    def _wait_for_room(self, pending) -> None:
-        """With `turn` held: wait while `pending()` and the live arrays exceed the cut-off."""
-        while pending() and self.live > _DEAL_LIVE_BYTES and not self.failed:
-            self.turn.wait()
-
-    def _release(self, a: np.ndarray) -> None:
-        self.live -= a.nbytes
-        self.turn.notify_all()
-
-    def gather(self, key, rows: tuple, g, shape: tuple) -> np.ndarray | None:
-        """Write `g` into `rows` of the full `shape` array for `key`, made in
-        g's layout, or C order for a product pair; the array to the part
-        whose write completes it, else None."""
-        product = isinstance(g, tuple)
+    def share(self, key, make, use) -> np.ndarray | None:
+        """``use(a)`` on the shared array `a` for `key`, which the first part
+        to reach `key` makes with ``make()``; `a` to the part that uses it
+        last, as the deal drops it, else None."""
         with self.turn:
-            self._wait_for_room(lambda: key not in self.full)
-            entry = self.full.get(key)
+            while key not in self.arrays and self.arrays and not self.failed:
+                self.turn.wait()
+            entry = self.arrays.get(key)
             if entry is None:
-                full = (np.empty(shape, np.result_type(*g)) if product
-                        else _empty_in_layout(g, shape))
-                entry = self.full[key] = [full, 0]
-                self.live += full.nbytes
-        if product:
-            np.matmul(*g, out=entry[0][rows])
-        else:
-            entry[0][rows] = g
+                entry = self.arrays[key] = [make(), 0]
+        use(entry[0])
         with self.turn:
             entry[1] += 1
             if entry[1] < self.parts:
                 return None
-            del self.full[key]
-            self._release(entry[0])
+            del self.arrays[key]
+            self.turn.notify_all()
         return entry[0]
 
     def finish(self) -> None:
@@ -575,8 +563,7 @@ class _Part:
         self.shared = shared
         self.rows = (slice(None),) * shared.axis + (slice(shared.cuts[i], shared.cuts[i + 1]),)
         self.size = shared.cuts[i + 1] - shared.cuts[i]
-        self.draws = 0
-        self.contributions = {}
+        self.reached = {}
 
     def _whole(self, shape: tuple) -> tuple:
         axis = self.shared.axis
@@ -585,35 +572,35 @@ class _Part:
                              f"on front axis {axis}")
         return shape[:axis] + (self.shared.cuts[-1],) + shape[axis + 1:]
 
+    def _next(self, name) -> tuple:
+        """(name, how often this part reached it before): a shared array's key."""
+        k = self.reached.get(name, 0)
+        self.reached[name] = k + 1
+        return name, k
+
     def random(self, shape: tuple) -> np.ndarray:
         """This part's rows of the next draw, as ``rng.random`` of the whole."""
-        shared, k = self.shared, self.draws
-        self.draws += 1
-        with shared.turn:
-            shared._wait_for_room(lambda: k == len(shared.draws))
-            if k == len(shared.draws):
-                values = shared.rng.random(self._whole(shape))
-                shared.draws.append([values, 0])
-                shared.live += values.nbytes
-            entry = shared.draws[k]
-            values = entry[0]
-            entry[1] += 1
-            if entry[1] == shared.parts:
-                entry[0] = None
-                shared._release(values)
-        return values[self.rows]
+        whole, mine = self._whole(shape), []
+        self.shared.share(self._next("draw"), lambda: self.shared.rng.random(whole),
+                          lambda a: mine.append(a[self.rows]))
+        return mine[0]
 
     def defer(self, p: Tensor, g: np.ndarray) -> None:
         """Take Parameter `p`'s unreduced gradient rows `g` (see `_Recorded`)."""
-        k = self.contributions.get(id(p), 0)
-        self.contributions[id(p)] = k + 1
-        shape = (np.broadcast_shapes(g[0].shape[:-2], g[1].shape[:-2])
-                 + (g[0].shape[-2], g[1].shape[-1]) if isinstance(g, tuple) else g.shape)
-        full = self.shared.gather((id(p), k), self.rows, g, self._whole(shape))
+        key = self._next(id(p))
+        if isinstance(g, tuple):
+            whole = self._whole(np.broadcast_shapes(g[0].shape[:-2], g[1].shape[:-2])
+                                + (g[0].shape[-2], g[1].shape[-1]))
+            full = self.shared.share(key, lambda: np.empty(whole, np.result_type(*g)),
+                                     lambda a: np.matmul(*g, out=a[self.rows]))
+        else:
+            whole = self._whole(g.shape)
+            full = self.shared.share(key, lambda: _empty_in_layout(g, whole),
+                                     lambda a: np.copyto(a[self.rows], g))
         if full is not None:
             reduced = _unbroadcast(full, p.data.shape)
             with self.shared.turn:
-                self.shared.reduced.append((k, p, reduced))
+                self.shared.reduced.append((key[1], p, reduced))
 
     def run(self, fn, *args):
         """``fn(*args)`` as this part, deferring its parameter gradients;
@@ -652,14 +639,16 @@ def _in_parts(block, x: Tensor, axis: int, count: int, rng=None) -> Tensor:
     or not, and the joint axis of a temporal block's joint-major ones.  One
     that does not raises ShapeError.  The node returned runs the parts'
     backwards on the pool: each defers its parameter-gradient rows, which
-    are reduced once each in the serial layout (`_Recorded`).  If `x`
-    already holds a gradient (from a consumer the backward reached
-    first), each part's chunk gradient starts as its view of it and the
-    part's own terms are added there in place, continuing the serial sum;
-    otherwise each part writes its input gradient into one array laid out
-    as its own, which is how the serial backward lays it out.  The serial
-    block's output, loss, every gradient and the generator state are thus
-    kept bit for bit, for any number of parts.
+    are reduced once each in the serial layout.  If `x` already holds a
+    gradient (from a consumer the backward reached first), each part's
+    chunk gradient starts as its view of it and the part's own terms are
+    added there in place, continuing the serial sum; otherwise each part
+    writes its input gradient into one array laid out as its own, which is
+    how the serial backward lays it out.  The parts share one whole array
+    at a time: a draw, a gradient or the input gradient
+    (`_Recorded.share`).  The serial block's output, loss, every gradient
+    and the generator state are thus kept bit for bit, for any number of
+    parts.
     """
     if count <= 1:
         return block(x, rng)
@@ -688,7 +677,9 @@ def _in_parts(block, x: Tensor, axis: int, count: int, rng=None) -> Tensor:
                 parts[i].run(outs[i].backward, g[chunks[i]])
                 outs[i] = None
                 if held is None and x.requires_grad:
-                    full = shared.gather("input", chunks[i], ins[i].grad, x.data.shape)
+                    g_i = ins[i].grad
+                    full = shared.share("input", lambda: _empty_in_layout(g_i, x.data.shape),
+                                        lambda a: np.copyto(a[chunks[i]], g_i))
                     if full is not None:
                         grad_in.append(full)
                 ins[i] = None

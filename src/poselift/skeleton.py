@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GraphStructureError
+from .errors import ConfigError, GraphStructureError, read_json
 
 
 def _is_index(value) -> bool:
@@ -215,11 +215,7 @@ def human36m_skeleton() -> SkeletonGraph:
 
 def load_skeleton(path) -> SkeletonGraph:
     """Read a skeleton JSON document: joints, edges, symmetric_pairs, root."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+    doc = read_json(path)
     names = doc.get("joints") if isinstance(doc, dict) else None
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ConfigError(f"{path}: a skeleton needs a 'joints' list of names")

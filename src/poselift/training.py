@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, DataError, DivergenceError, config_from_dict
+from .errors import ConfigError, DataError, DivergenceError, config_from_dict, read_json
 from .losses import total_loss
 from .metrics import EvalReport, evaluate_sequences, mpjpe, root_relative
 from .network import ModelConfig, PoseLifter, two_stage_forward
@@ -110,12 +110,7 @@ class TrainConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: malformed JSON: {exc}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path))
 
 
 # -- optimizer -----------------------------------------------------------------

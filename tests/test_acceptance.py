@@ -275,6 +275,7 @@ def main_config(overfit_dataset, preliminary_run, out_name, **overrides):
     return TrainConfig(**fields)
 
 
+@pytest.mark.slow
 def test_overfit_two_stage(overfit_dataset, preliminary_run):
     pre_cfg, pre_result, pre_elapsed = preliminary_run
     cfg = main_config(overfit_dataset, preliminary_run, "main")
@@ -291,6 +292,7 @@ def test_overfit_two_stage(overfit_dataset, preliminary_run):
            f"({pre_cfg.epochs}+{cfg.epochs} epochs)")
 
 
+@pytest.mark.slow
 def test_training_loss_monotone_after_epoch_50(default_rate_preliminary_run):
     # harness invariant, asserted on the noise-free stage of the seeded run
     cfg, result, _ = default_rate_preliminary_run
@@ -306,6 +308,7 @@ def test_training_loss_monotone_after_epoch_50(default_rate_preliminary_run):
     report("training-loss-monotone", summary)
 
 
+@pytest.mark.slow
 def test_directional_frequency_loss(overfit_dataset, preliminary_run):
     results = {}
     for lambda_f in (0.0, 0.1):

@@ -46,6 +46,8 @@ class TestWmpjpe:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             wmpjpe(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))
+        with pytest.raises(ShapeError, match="non-empty"):
+            total_loss(np.zeros((0, 27, 17, 3)), np.zeros((0, 27, 17, 3)), LossWeights())
 
 
 class TestTcLoss:

@@ -37,6 +37,14 @@ class TestMpjpe:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mpjpe(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
+        # Empty poses, and an empty list of sequences, are refused too.
+        whole = lambda a, b: evaluate_sequences([a], [b])  # noqa: E731
+        for shape in ((0, 17, 3), (5, 0, 3)):
+            for metric in (mpjpe, p_mpjpe, pck_auc, mpjve, whole):
+                with pytest.raises(ShapeError, match="non-empty"):
+                    metric(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ShapeError, match="no sequences"):
+            evaluate_sequences([], [])
 
 
 class TestPmpjpe:

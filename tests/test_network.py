@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +226,13 @@ class TestPoseLifter:
             model.forward(np.zeros((3, 3, 5)))
         with pytest.raises(ShapeError):
             model.forward(np.zeros((4, 3, 2)))
+        main = PoseLifter(tiny_config(channels_in=5), chain_skeleton(), seed=7)
+        empty = np.zeros((0, 3, 3, 2))
+        for lift in (model.forward, lambda x: two_stage_forward(x, model, main)):
+            with pytest.raises(ShapeError, match="non-empty"):
+                lift(empty)
+            with no_grad(), pytest.raises(ShapeError, match="non-empty"):
+                lift(empty)
 
     def test_end_to_end_gradient(self):
         model = PoseLifter(tiny_config(depth=1), chain_skeleton(), seed=8)
@@ -676,6 +688,59 @@ class TestRecordedDeal:
             assert state == serial_state
             TestParallelForward.assert_bitwise([np.atleast_1d(a) for a in dealt],
                                                [np.atleast_1d(a) for a in serial])
+
+    def test_one_shared_array_in_use_at_a_time(self, monkeypatch):
+        # A part that would make a new dropout draw or gradient array waits
+        # while another is in use, however small: each array here is well
+        # under a megabyte.
+        share, seen = numerics._Recorded.share, []
+
+        def counted(shared, key, make, use):
+            def counting(a):
+                seen.append(len(shared.arrays))
+                use(a)
+            return share(shared, key, make, counting)
+
+        monkeypatch.setattr(numerics._Recorded, "share", counted)
+        for workers in (2, 3):
+            self.steps(monkeypatch, np.float32, 0.25, 3, 2, workers)
+        assert seen and max(seen) == 1
+
+    def test_parts_delayed_at_random_give_the_serial_step(self):
+        # Each part sleeps a random while before every shared array, so the
+        # parts reach them in many interleavings.  Run in a child process
+        # with a timeout, so that a deal that stalls fails instead of hanging.
+        child = textwrap.dedent("""
+            import random, time
+            import numpy as np
+            import pytest
+            from poselift import numerics
+            from test_network import TestParallelForward, TestRecordedDeal
+
+            share = numerics._Recorded.share
+            with pytest.MonkeyPatch.context() as mp:
+                serial, serial_state, _ = TestRecordedDeal.steps(mp, np.float32, 0.25, 3, 2, 1)
+                for seed in range(4):
+                    delays = random.Random(seed)
+
+                    def delayed(shared, key, make, use):
+                        time.sleep(delays.uniform(0.0, 1e-3))
+                        return share(shared, key, make, use)
+
+                    mp.setattr(numerics._Recorded, "share", delayed)
+                    for workers in (2, 3):
+                        dealt, state, _ = TestRecordedDeal.steps(mp, np.float32, 0.25, 3, 2,
+                                                                 workers)
+                        assert state == serial_state
+                        TestParallelForward.assert_bitwise(
+                            [np.atleast_1d(a) for a in dealt], [np.atleast_1d(a) for a in serial])
+        """)
+        here = Path(__file__).resolve().parent
+        paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                                text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
 
     def test_flat_gemm_step_equals_the_serial_step(self, monkeypatch):
         # At C=256 the feed-forward weights take `linear`'s flat GEMM, whose
